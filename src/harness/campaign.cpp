@@ -180,10 +180,8 @@ class ProgressTracker {
 
 RunRecord timedRunOnce(const CampaignEntry& entry, const PlannedRun& planned,
                        double& runSeconds) {
-  RunConfig config = entry.config;
-  config.startAt = planned.systemTime;
   const auto startedAt = Clock::now();
-  RunRecord record = runOnce(config, planned.seed);
+  RunRecord record = runOnce(entry.config, planned.seed, planned.systemTime);
   runSeconds = secondsSince(startedAt);
   return record;
 }

@@ -39,6 +39,10 @@ ior::RunUtilization measureUtilization(const sim::FlowTracer& tracer,
 }  // namespace
 
 RunRecord runOnce(const RunConfig& config, std::uint64_t seed) {
+  return runOnce(config, seed, config.startAt);
+}
+
+RunRecord runOnce(const RunConfig& config, std::uint64_t seed, util::Seconds startAt) {
   const auto wallStart = std::chrono::steady_clock::now();
   if (config.mdtest && !config.fs.meta.queued) {
     throw util::ConfigError(
@@ -112,14 +116,14 @@ RunRecord runOnce(const RunConfig& config, std::uint64_t seed) {
           "policy is set (BeegfsParams::faults.mode)");
     }
     injector.emplace(deployment, std::move(schedule));
-    injector->arm(config.startAt);
+    injector->arm(startAt);
     record.faultsActive = true;
   }
 
   bool finished = false;
   bool mdFinished = !config.mdtest.has_value();
   ior::launchIor(
-      fs, config.job, config.ior, config.startAt,
+      fs, config.job, config.ior, startAt,
       [&](const ior::IorResult& result) {
         record.ior = result;
         finished = true;

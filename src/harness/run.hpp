@@ -137,4 +137,9 @@ struct RunRecord {
 /// Execute one run to completion.  Deterministic given (config, seed).
 RunRecord runOnce(const RunConfig& config, std::uint64_t seed);
 
+/// The same run started at `startAt` instead of config.startAt, so campaign
+/// executors can reuse one configuration for every planned run without
+/// copying it.
+RunRecord runOnce(const RunConfig& config, std::uint64_t seed, util::Seconds startAt);
+
 }  // namespace beesim::harness

@@ -1,6 +1,7 @@
 #include "sim/fluid.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -250,6 +251,67 @@ void FluidSimulator::resetComponents() {
   dirtyRoots_.clear();
   loadedRes_.clear();
   pendingAllDirty_ = false;
+  // Flow classes live exactly as long as the components: no flow is left
+  // to reference one.
+  classAdjacency_.clear();
+  classAdjOffset_.clear();
+  classAdjLen_.clear();
+  classWeight_.clear();
+  classRateCap_.clear();
+  classHash_.clear();
+  classCount_.clear();
+  classRate_.clear();
+  std::fill(classBuckets_.begin(), classBuckets_.end(), kNone);
+}
+
+std::uint32_t FluidSimulator::classOf(const std::uint32_t* path, std::uint32_t len,
+                                      double weight, double rateCap) {
+  // FNV-1a over the key words; the bucket index only narrows the search,
+  // equality is decided on the full key.
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t word) {
+    h ^= word;
+    h *= 0x100000001b3ull;
+  };
+  for (std::uint32_t i = 0; i < len; ++i) mix(path[i]);
+  mix(std::bit_cast<std::uint64_t>(weight));
+  mix(std::bit_cast<std::uint64_t>(rateCap));
+  h ^= h >> 29;
+
+  // Keep the load factor at or under one half; the table keeps its size
+  // across drains, so a recurring episode rehashes nothing.
+  if ((classHash_.size() + 1) * 2 > classBuckets_.size()) {
+    classBuckets_.assign(std::max<std::size_t>(64, classBuckets_.size() * 2), kNone);
+    const std::size_t mask = classBuckets_.size() - 1;
+    for (std::uint32_t c = 0; c < classHash_.size(); ++c) {
+      std::size_t b = classHash_[c] & mask;
+      while (classBuckets_[b] != kNone) b = (b + 1) & mask;
+      classBuckets_[b] = c;
+    }
+  }
+  const std::size_t mask = classBuckets_.size() - 1;
+  std::size_t b = h & mask;
+  for (; classBuckets_[b] != kNone; b = (b + 1) & mask) {
+    const auto c = classBuckets_[b];
+    if (classHash_[c] == h && classAdjLen_[c] == len &&
+        std::bit_cast<std::uint64_t>(classWeight_[c]) == std::bit_cast<std::uint64_t>(weight) &&
+        std::bit_cast<std::uint64_t>(classRateCap_[c]) ==
+            std::bit_cast<std::uint64_t>(rateCap) &&
+        std::equal(path, path + len, classAdjacency_.data() + classAdjOffset_[c])) {
+      return c;
+    }
+  }
+  const auto c = static_cast<std::uint32_t>(classHash_.size());
+  classBuckets_[b] = c;
+  classAdjOffset_.push_back(static_cast<std::uint32_t>(classAdjacency_.size()));
+  classAdjLen_.push_back(len);
+  classAdjacency_.insert(classAdjacency_.end(), path, path + len);
+  classWeight_.push_back(weight);
+  classRateCap_.push_back(rateCap);
+  classHash_.push_back(h);
+  classCount_.push_back(0);
+  classRate_.push_back(0.0);
+  return c;
 }
 
 std::uint32_t FluidSimulator::allocateFlowSlot() {
@@ -268,6 +330,7 @@ std::uint32_t FluidSimulator::allocateFlowSlot() {
   flowBytes_.push_back(0);
   flowOnComplete_.emplace_back();
   flowNext_.push_back(kNone);
+  flowClass_.push_back(0);
   pathOffset_.push_back(0);
   pathLen_.push_back(0);
   pathCap_.push_back(0);
@@ -331,6 +394,8 @@ FlowId FluidSimulator::startFlow(FlowSpec spec) {
     pathArena_[pathOffset_[slot] + i] = spec.path[i];
     adjacencyArena_[pathOffset_[slot] + i] = spec.path[i].value;
   }
+  flowClass_[slot] =
+      classOf(adjacencyArena_.data() + pathOffset_[slot], len, spec.queueWeight, spec.rateCap);
 
   // Settle and merge the components the path touches.  Banking each
   // component's progress *before* membership changes keeps the piecewise
@@ -616,6 +681,8 @@ void FluidSimulator::resolveNow() {
   const bool record = observer_ != nullptr;
   const SolverView view{resCapacity_, adjacencyArena_, pathOffset_,
                         pathLen_,     flowWeight_,     flowRateCap_};
+  const SolverView classView{resCapacity_, classAdjacency_, classAdjOffset_, classAdjLen_,
+                             classWeight_, classRateCap_,   classCount_};
   for (std::size_t i = 0; i < dirtyRoots_.size(); ++i) {
     const auto listed = dirtyRoots_[i];
     const auto r = findRoot(listed);
@@ -634,13 +701,31 @@ void FluidSimulator::resolveNow() {
       continue;
     }
     advanceComponent(r, t);
+    // Count the component's members per flow class.  When every class
+    // shares one weight the solve runs over the classes (bit-identical, see
+    // maxmin.hpp) and each class rate is copied to its members; otherwise
+    // the flows are solved one by one.
     subsetSlots_.clear();
+    subsetClasses_.clear();
+    bool oneWeight = true;
+    const double weight = flowWeight_[compHead_[r]];
     for (auto slot = compHead_[r]; slot != kNone; slot = flowNext_[slot]) {
       subsetSlots_.push_back(slot);
+      const auto c = flowClass_[slot];
+      if (classCount_[c]++ == 0) {
+        subsetClasses_.push_back(c);
+        if (classWeight_[c] != weight) oneWeight = false;
+      }
     }
-    solverIterations_ += referenceSolver_
-                             ? workspace_.solveSubsetReference(view, subsetSlots_, flowRate_)
-                             : workspace_.solveSubset(view, subsetSlots_, flowRate_);
+    if (referenceSolver_) {
+      solverIterations_ += workspace_.solveSubsetReference(view, subsetSlots_, flowRate_);
+    } else if (oneWeight) {
+      solverIterations_ += workspace_.solveSubset(classView, subsetClasses_, classRate_);
+      for (const auto slot : subsetSlots_) flowRate_[slot] = classRate_[flowClass_[slot]];
+    } else {
+      solverIterations_ += workspace_.solveSubset(view, subsetSlots_, flowRate_);
+    }
+    for (const auto c : subsetClasses_) classCount_[c] = 0;
     solvedCount += subsetSlots_.size();
     double horizon = kInf;
     for (const auto slot : subsetSlots_) {

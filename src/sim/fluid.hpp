@@ -23,6 +23,16 @@
 // bookkeeping lives in flat slot-indexed arrays reused across the run; a
 // steady-state resolve performs zero heap allocations.
 //
+// Flow classes: ranks of one node writing to one target start flows with
+// byte-identical paths, weights and caps, which max-min gives identical
+// rates.  startFlow files each flow under a class keyed on exactly that
+// triple (the class table is reset with the union-find when the system
+// drains), and a component whose flows all share one weight is solved over
+// its classes, each with its live member count as multiplicity (see
+// maxmin.hpp for why the rates are bit-identical).  Components mixing
+// weights are solved flow by flow.  Progress, completion horizons and
+// observer callbacks stay per flow.
+//
 // ε-bounded resolution (setSolverEpsilon): on top of the exact component
 // decomposition, a component whose dirtiness stems *only* from capacity
 // drift may be deferred when the accumulated drift provably cannot move any
@@ -212,9 +222,10 @@ class FluidSimulator {
   /// Resolves skipped under the ε bound (diagnostics / scale bench).
   std::size_t deferredResolves() const { return deferredResolves_; }
 
-  /// Use the scalar reference solver walk instead of the SoA fast path.
-  /// Rates are bit-identical either way (see sim/maxmin.hpp); this exists so
-  /// the scale benchmark can measure the PR-2-era baseline in place.
+  /// Use the scalar reference solver walk, flow by flow, instead of the
+  /// class-aggregated SoA fast path.  Rates are bit-identical either way
+  /// (see sim/maxmin.hpp); this is the independent check on the aggregated
+  /// rates, and the baseline leg of the scale benchmark.
   void setReferenceSolver(bool enabled) { referenceSolver_ = enabled; }
 
   /// Attach an observer (nullptr detaches).  A single slot with clobbering
@@ -312,6 +323,10 @@ class FluidSimulator {
 
   std::uint32_t allocateFlowSlot();
   void freeFlowSlot(std::uint32_t slot);
+  /// The class of a flow with this solver-facing path, weight and cap,
+  /// created on first sight.
+  std::uint32_t classOf(const std::uint32_t* path, std::uint32_t len, double weight,
+                        double rateCap);
 
   Simulator engine_;
   std::vector<ResourceSpec> resources_;
@@ -356,12 +371,29 @@ class FluidSimulator {
   std::vector<std::uint32_t> pathCap_;
   std::vector<ResourceIndex> pathArena_;       // observer-facing path storage
   std::vector<std::uint32_t> adjacencyArena_;  // same data, solver-facing
+  std::vector<std::uint32_t> flowClass_;
   std::vector<std::uint32_t> freeFlowSlots_;
   IdMap idMap_;
+
+  // --- Flow classes (indexed by class id; reset when the system drains) ---
+  // One entry per distinct (path, weight, cap) seen in the episode, in the
+  // CSR layout SolverView consumes; classBuckets_ is an open-addressed hash
+  // index (kNone marks an empty bucket).  classCount_ is resolve scratch:
+  // the members of the class in the component being solved, 0 otherwise.
+  std::vector<std::uint32_t> classAdjacency_;
+  std::vector<std::uint32_t> classAdjOffset_;
+  std::vector<std::uint32_t> classAdjLen_;
+  std::vector<double> classWeight_;
+  std::vector<double> classRateCap_;
+  std::vector<std::uint64_t> classHash_;
+  std::vector<std::uint32_t> classCount_;
+  std::vector<double> classRate_;
+  std::vector<std::uint32_t> classBuckets_;
 
   // --- Resolve scratch (reused; no steady-state allocations) ---
   SolverWorkspace workspace_;
   std::vector<std::uint32_t> subsetSlots_;
+  std::vector<std::uint32_t> subsetClasses_;
   std::vector<FlowId> solvedIds_;
   std::vector<util::MiBps> solvedRates_;
   std::vector<DrainEntry> drain_;

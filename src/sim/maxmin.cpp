@@ -26,6 +26,14 @@ void SolverWorkspace::ensureResourceCapacity(std::size_t resourceCount) {
   resDense_.resize(resourceCount, 0);
 }
 
+void SolverWorkspace::ensureWeightSums(double weight, std::uint32_t count) {
+  if (weightSums_.empty() || weightSumsOf_ != weight) {
+    weightSums_.assign(1, 0.0);
+    weightSumsOf_ = weight;
+  }
+  while (weightSums_.size() <= count) weightSums_.push_back(weightSums_.back() + weight);
+}
+
 std::size_t SolverWorkspace::solveSubset(const SolverView& view,
                                          std::span<const std::uint32_t> flows,
                                          std::span<double> rates) {
@@ -40,11 +48,16 @@ std::size_t SolverWorkspace::solveSubset(const SolverView& view,
   // suffices; the stamp makes resDense_ self-clearing, so compaction cost
   // scales with the subset, not with the global resource count.  Flows
   // crossing a zero-capacity resource are dead: their rate stays 0 and they
-  // contribute no weight (documented degenerate result).
+  // contribute no weight (documented degenerate result).  With flow
+  // classes, the compaction only counts members per resource; the active
+  // weights are read from the sequential-sum table afterwards.
+  const bool classes = !view.multiplicity.empty();
+  const double classWeight = view.weight[flows.front()];
   rCapacity_.clear();
   rResidual_.clear();
   rActiveWeight_.clear();
   rActiveCount_.clear();
+  rFreezing_.clear();
   rSaturated_.clear();
   fSlot_.clear();
   fWeight_.clear();
@@ -63,6 +76,9 @@ std::size_t SolverWorkspace::solveSubset(const SolverView& view,
     const auto* adj = view.adjacency.data() + view.adjOffset[f];
     const auto len = view.adjLen[f];
     const double w = view.weight[f];
+    const std::uint32_t mult = classes ? view.multiplicity[f] : 1;
+    BEESIM_ASSERT(mult > 0, "a flow class needs at least one member");
+    BEESIM_ASSERT(!classes || w == classWeight, "flow classes of one solve must share a weight");
     fSlot_.push_back(f);
     fWeight_.push_back(w);
     fRate_.push_back(0.0);
@@ -79,6 +95,7 @@ std::size_t SolverWorkspace::solveSubset(const SolverView& view,
         rResidual_.push_back(view.capacity[r]);
         rActiveWeight_.push_back(0.0);
         rActiveCount_.push_back(0);
+        rFreezing_.push_back(0);
         rSaturated_.push_back(0);
       }
       const auto d = resDense_[r];
@@ -95,13 +112,19 @@ std::size_t SolverWorkspace::solveSubset(const SolverView& view,
     if (view.rateCap[f] > 0.0) ++capActive;
     for (std::uint32_t i = 0; i < len; ++i) {
       const auto d = denseAdj_[fAdjOffset_[j] + i];
-      rActiveWeight_[d] += w;
-      ++rActiveCount_[d];
+      if (!classes) rActiveWeight_[d] += w;
+      rActiveCount_[d] += mult;
     }
     activeList_.push_back(j);
   }
 
   const std::size_t m = rCapacity_.size();
+  if (classes) {
+    std::uint32_t maxCount = 0;
+    for (std::size_t i = 0; i < m; ++i) maxCount = std::max(maxCount, rActiveCount_[i]);
+    ensureWeightSums(classWeight, maxCount);
+    for (std::size_t i = 0; i < m; ++i) rActiveWeight_[i] = weightSums_[rActiveCount_[i]];
+  }
   const std::size_t n = fSlot_.size();
   std::size_t iterations = 0;
   while (!activeList_.empty()) {
@@ -161,6 +184,10 @@ std::size_t SolverWorkspace::solveSubset(const SolverView& view,
         ++newlyFrozen;
         for (std::uint32_t k = 0; k < fAdjLen_[j]; ++k) {
           const auto d = adj[k];
+          if (classes) {
+            rFreezing_[d] += view.multiplicity[fSlot_[j]];
+            continue;
+          }
           rActiveWeight_[d] -= fWeight_[j];
           if (--rActiveCount_[d] == 0) rActiveWeight_[d] = 0.0;
         }
@@ -176,6 +203,23 @@ std::size_t SolverWorkspace::solveSubset(const SolverView& view,
     // Progress guarantee: every iteration freezes at least one flow (delta was
     // chosen as the tightest constraint).
     BEESIM_ASSERT(newlyFrozen > 0, "progressive filling made no progress");
+    if (classes) {
+      // Release the frozen members' weight: one subtraction of w per
+      // member, as the expanded flows would do (all on a resource are the
+      // same w, so batching them per resource keeps the result), or exactly
+      // 0.0 once no member is left -- skipping the chain entirely.
+      for (std::size_t r = 0; r < m; ++r) {
+        const auto frozen = rFreezing_[r];
+        if (frozen == 0) continue;
+        rFreezing_[r] = 0;
+        rActiveCount_[r] -= frozen;
+        if (rActiveCount_[r] == 0) {
+          rActiveWeight_[r] = 0.0;
+        } else {
+          for (std::uint32_t c = 0; c < frozen; ++c) rActiveWeight_[r] -= classWeight;
+        }
+      }
+    }
   }
 
   for (std::size_t j = 0; j < n; ++j) rates[fSlot_[j]] = fRate_[j];
@@ -185,6 +229,7 @@ std::size_t SolverWorkspace::solveSubset(const SolverView& view,
 std::size_t SolverWorkspace::solveSubsetReference(const SolverView& view,
                                                   std::span<const std::uint32_t> flows,
                                                   std::span<double> rates) {
+  BEESIM_ASSERT(view.multiplicity.empty(), "the reference walk solves plain flows only");
   if (flows.empty()) return 0;
   ensureResourceCapacity(view.capacity.size());
   ++stamp_;

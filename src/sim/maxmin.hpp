@@ -37,6 +37,21 @@
 // in the same order, frozen flows merely receive `+= delta * 0.0` instead of
 // being skipped.
 //
+// Flow classes: flows with byte-identical (path, weight, cap) -- ranks of one
+// node writing to one target -- receive identical max-min rates, so a caller
+// may name one *class* slot per group and give its member count in
+// SolverView::multiplicity.  The rates are bit-identical to solving the
+// expanded flows one by one, provided every class in the subset shares one
+// weight w: a resource's active weight is then the sequential sum of its K
+// crossing members' copies of w, read from a table S[k] = S[k-1] + w (the
+// exact additions the per-flow compaction performs); a freezing class
+// subtracts w once per member, or resets the weight to exactly 0.0 when the
+// member count reaches 0; and every rate increment, delta candidate and
+// freeze test of a class is the same operation on the same values as for
+// each of its members, so even the iteration count is unchanged.  With
+// mixed weights the order of the per-flow additions matters, so callers
+// solve such subsets flow by flow.
+//
 // Degenerate inputs are well-defined:
 //   * a flow crossing a zero-capacity resource receives rate 0 (it never
 //     enters the filling and contributes no weight anywhere);
@@ -90,6 +105,9 @@ struct SolverView {
   std::span<const std::uint32_t> adjLen;     // per flow slot
   std::span<const double> weight;            // per flow slot
   std::span<const double> rateCap;           // per flow slot (<= 0: uncapped)
+  /// Optional: slot f stands for multiplicity[f] identical flows (a flow
+  /// class; see the header comment).  Empty: every slot is one flow.
+  std::span<const std::uint32_t> multiplicity = {};
 };
 
 /// Reusable scratch state for progressive filling.  One workspace may be
@@ -104,20 +122,28 @@ class SolverWorkspace {
   /// rates are computed as if no other flow existed.  Flows crossing a
   /// zero-capacity resource receive rate 0.  Returns the number of filling
   /// iterations.  This is the SoA fast path; it produces bit-identical
-  /// rates to solveSubsetReference.
+  /// rates to solveSubsetReference.  With view.multiplicity set, all named
+  /// slots must share one weight; each slot's rate is then the rate every
+  /// one of its multiplicity[f] member flows receives from
+  /// solveSubsetReference over the expanded flows, bit for bit, in the same
+  /// number of iterations.
   std::size_t solveSubset(const SolverView& view, std::span<const std::uint32_t> flows,
                           std::span<double> rates);
 
   /// The pre-SoA scalar implementation (gather/scatter through the CSR view
   /// per iteration).  Kept as the reference for differential tests pinning
   /// the SoA layout, and as the baseline leg of the scale benchmark.
-  /// Identical contract and bit-identical results.
+  /// Identical contract and bit-identical results, over plain flows only
+  /// (view.multiplicity must be empty).
   std::size_t solveSubsetReference(const SolverView& view,
                                    std::span<const std::uint32_t> flows,
                                    std::span<double> rates);
 
  private:
   void ensureResourceCapacity(std::size_t resourceCount);
+  /// weightSums_[k] = k copies of `weight` summed left to right, for k in
+  /// [0, count]; reused while the weight stays the same.
+  void ensureWeightSums(double weight, std::uint32_t count);
 
   // Per-resource scratch, stamped per solve so nothing needs clearing.
   std::vector<std::uint64_t> resStamp_;
@@ -139,6 +165,7 @@ class SolverWorkspace {
   std::vector<double> rResidual_;
   std::vector<double> rActiveWeight_;
   std::vector<std::uint32_t> rActiveCount_;
+  std::vector<std::uint32_t> rFreezing_;  // class members frozen this iteration
   std::vector<char> rSaturated_;
   // Per dense flow.  fActiveW holds the weight while the flow is filling and
   // exactly 0.0 once frozen (so the increment loop is branch-free); fCapOrInf
@@ -154,6 +181,8 @@ class SolverWorkspace {
   std::vector<std::uint32_t> fAdjLen_;
   std::vector<std::uint32_t> denseAdj_;
   std::vector<std::uint32_t> activeList_;
+  std::vector<double> weightSums_;
+  double weightSumsOf_ = 0.0;
 };
 
 /// Computes the max-min fair allocation.

@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <new>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/fluid.hpp"
@@ -287,49 +289,187 @@ TEST(FluidIncremental, RandomizedIncrementalMatchesScratchSolve) {
   }
 }
 
+/// Everything a run reports about its rates and completions, as raw bits.
+struct ClassRunTrace {
+  std::vector<std::uint64_t> completions;  // (id, end-time bits) pairs
+  std::vector<std::uint64_t> solved;       // (time, id, rate bits) triples
+  std::size_t iterations = 0;
+};
+
+class RateTraceObserver : public FluidObserver {
+ public:
+  explicit RateTraceObserver(ClassRunTrace& trace) : trace_(trace) {}
+  void onFlowStarted(FlowId, std::span<const ResourceIndex>, util::Bytes,
+                     SimTime) override {}
+  void onRatesSolved(SimTime at, std::span<const FlowId> ids,
+                     std::span<const util::MiBps> rates, std::size_t) override {
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      trace_.solved.push_back(std::bit_cast<std::uint64_t>(at));
+      trace_.solved.push_back(ids[i].value);
+      trace_.solved.push_back(std::bit_cast<std::uint64_t>(rates[i]));
+    }
+  }
+  void onFlowCompleted(const FlowStats& stats) override {
+    trace_.completions.push_back(stats.id.value);
+    trace_.completions.push_back(std::bit_cast<std::uint64_t>(stats.endTime));
+  }
+
+ private:
+  ClassRunTrace& trace_;
+};
+
+/// A randomized schedule over three disjoint groups of shared paths, the way
+/// ranks of one node share a path: group 0 has the non-dyadic uniform weight
+/// 0.93/3 and a load-dependent backbone, group 1 weight 1 with rate-capped
+/// paths and a target that drops to zero capacity for a while, group 2 mixes
+/// weights 1 and 2.5 (solved flow by flow).  Flows start, get cancelled and
+/// see capacity invalidations at random instants.
+ClassRunTrace runClassSchedule(std::uint64_t seed, bool referenceSolver) {
+  ClassRunTrace trace;
+  util::Rng rng(seed);
+  FluidSimulator fluid;
+  fluid.setReferenceSolver(referenceSolver);
+  RateTraceObserver observer(trace);
+  fluid.addObserver(&observer);
+
+  bool targetDown = false;
+  std::vector<std::vector<std::vector<ResourceIndex>>> templates(3);
+  for (std::size_t g = 0; g < 3; ++g) {
+    const std::string prefix = "g" + std::to_string(g) + "_";
+    std::vector<ResourceIndex> nodes;
+    for (int n = 0; n < 3; ++n) {
+      nodes.push_back(
+          addLink(fluid, prefix + "node" + std::to_string(n), rng.uniform(80.0, 300.0)));
+    }
+    const double backboneBase = rng.uniform(200.0, 600.0);
+    const auto backbone = fluid.addResource(ResourceSpec{
+        prefix + "backbone", [backboneBase](const ResourceLoad& load) {
+          return backboneBase * load.queueDepth / (load.queueDepth + 2.0);
+        }});
+    std::vector<ResourceIndex> targets;
+    for (int o = 0; o < 2; ++o) {
+      const double base = rng.uniform(100.0, 400.0);
+      const bool toggles = g == 1 && o == 0;
+      targets.push_back(fluid.addResource(ResourceSpec{
+          prefix + "ost" + std::to_string(o),
+          [base, toggles, &targetDown](const ResourceLoad& load) {
+            if (toggles && targetDown) return 0.0;
+            return base * (1.0 + 0.1 * std::sin(5.0 * load.time));
+          }}));
+    }
+    for (const auto node : nodes) {
+      for (const auto target : targets) templates[g].push_back({node, backbone, target});
+    }
+  }
+
+  std::vector<FlowId> ids;
+  for (std::size_t f = 0; f < 90; ++f) {
+    const std::size_t g = f % 3;
+    const auto k = static_cast<std::size_t>(
+        rng.uniformInt(0, static_cast<std::int64_t>(templates[g].size()) - 1));
+    FlowSpec spec;
+    spec.path = templates[g][k];
+    spec.bytes = static_cast<util::Bytes>(rng.uniformInt(5, 80)) * 1_MiB;
+    spec.queueWeight = g == 0 ? 0.93 / 3.0 : (g == 2 && k % 2 == 1 ? 2.5 : 1.0);
+    spec.rateCap = g == 1 && k % 3 == 0 ? 40.0 : 0.0;
+    fluid.engine().schedule(rng.uniform(0.0, 2.0),
+                            [&fluid, &ids, spec = std::move(spec)]() mutable {
+                              ids.push_back(fluid.startFlow(std::move(spec)));
+                            });
+  }
+  for (int c = 0; c < 20; ++c) {
+    const double pick = rng.uniform(0.0, 1.0);
+    fluid.engine().schedule(rng.uniform(0.2, 3.0), [&fluid, &ids, pick] {
+      if (ids.empty()) return;
+      const auto i = static_cast<std::size_t>(pick * static_cast<double>(ids.size()));
+      fluid.cancelFlow(ids[std::min(i, ids.size() - 1)]);
+    });
+  }
+  for (int v = 0; v < 10; ++v) {
+    fluid.engine().schedule(rng.uniform(0.0, 3.0), [&fluid] { fluid.invalidateCapacities(); });
+  }
+  fluid.engine().schedule(0.7, [&fluid, &targetDown] {
+    targetDown = true;
+    fluid.invalidateCapacities();
+  });
+  fluid.engine().schedule(1.4, [&fluid, &targetDown] {
+    targetDown = false;
+    fluid.invalidateCapacities();
+  });
+  fluid.run();
+  trace.iterations = fluid.solverIterations();
+  return trace;
+}
+
+TEST(FluidIncremental, FlowClassesMatchPerFlowReferenceBitwise) {
+  // The class-aggregated solve must reproduce the per-flow reference walk
+  // exactly: every observer-reported rate, every completion time and the
+  // filling iteration count, across starts, cancellations, load-dependent
+  // and zero-capacity transitions, and a mixed-weight component.
+  for (const std::uint64_t seed : {31u, 32u, 33u, 34u, 35u, 36u, 37u, 38u}) {
+    const auto reference = runClassSchedule(seed, true);
+    const auto classes = runClassSchedule(seed, false);
+    EXPECT_EQ(classes.completions, reference.completions) << "seed " << seed;
+    EXPECT_EQ(classes.solved, reference.solved) << "seed " << seed;
+    EXPECT_EQ(classes.iterations, reference.iterations) << "seed " << seed;
+    EXPECT_GT(reference.completions.size() / 2, 50u) << "most flows must complete";
+  }
+}
+
 TEST(FluidIncremental, SteadyStateResolveIsAllocationFree) {
   // The acceptance bar for the incremental resolver: once warmed up, the
   // periodic resolve path (advance -> capacity evaluation -> component solve
   // -> wakeup rescheduling) performs zero heap allocations.  Time-varying
   // capacities keep every component dirty, so the solver genuinely runs in
-  // the measured window.
-  FluidSimulator fluid;
-  fluid.setSolverCheck(false);  // the differential check allocates by design
-  fluid.setResolveInterval(0.05);
-  std::vector<ResourceIndex> links;
-  for (int r = 0; r < 6; ++r) {
-    links.push_back(fluid.addResource(ResourceSpec{
-        "link" + std::to_string(r), [](const ResourceLoad& load) {
-          return 200.0 + 50.0 * std::sin(load.time);
-        }}));
+  // the measured window.  Checked with mixed weights (per-flow solves) and
+  // with ppn = 4 ranks per path at one weight per component (class solves,
+  // so the class table and per-class scratch are covered too; the two
+  // components' weights differ, so the weight-sum table is rebuilt each
+  // resolve).
+  for (const bool ranksShareWeight : {false, true}) {
+    FluidSimulator fluid;
+    fluid.setSolverCheck(false);  // the differential check allocates by design
+    fluid.setResolveInterval(0.05);
+    std::vector<ResourceIndex> links;
+    for (int r = 0; r < 6; ++r) {
+      links.push_back(fluid.addResource(ResourceSpec{
+          "link" + std::to_string(r), [](const ResourceLoad& load) {
+            return 200.0 + 50.0 * std::sin(load.time);
+          }}));
+    }
+    // Two disjoint components, several multi-resource flows each; sizes
+    // large enough that nothing completes inside the measurement window.
+    for (int f = 0; f < 8; ++f) {
+      const bool nodeA = f % 2 == 0;
+      fluid.startFlow(FlowSpec{
+          .path = nodeA ? std::vector{links[0], links[1], links[2]}
+                        : std::vector{links[0], links[2]},
+          .bytes = 1_TiB,
+          .queueWeight = ranksShareWeight ? 0.93 / 3.0 : 1.0 + f,
+          .rateCap = 0.0,
+          .onComplete = nullptr});
+      fluid.startFlow(FlowSpec{
+          .path = nodeA ? std::vector{links[3], links[4], links[5]}
+                        : std::vector{links[3], links[5]},
+          .bytes = 1_TiB,
+          .queueWeight = ranksShareWeight ? 1.5 : 1.0 + f,
+          .rateCap = 0.0,
+          .onComplete = nullptr});
+    }
+    fluid.engine().runUntil(1.0);  // warm up scratch arrays and event slots
+    const auto resolvesBefore = fluid.resolveCount();
+    const auto iterationsBefore = fluid.solverIterations();
+    {
+      AllocProbe probe;
+      fluid.engine().runUntil(2.0);
+      EXPECT_EQ(probe.count(), 0u) << "steady-state resolves must not allocate (ranks "
+                                   << (ranksShareWeight ? "share" : "mix") << " weights)";
+    }
+    EXPECT_GE(fluid.resolveCount(), resolvesBefore + 15);
+    EXPECT_GT(fluid.solverIterations(), iterationsBefore)
+        << "the solver must actually run in the measured window";
+    EXPECT_EQ(fluid.activeFlows(), 16u);
   }
-  // Two disjoint components, several multi-resource flows each; sizes large
-  // enough that nothing completes inside the measurement window.
-  for (int f = 0; f < 4; ++f) {
-    fluid.startFlow(FlowSpec{.path = {links[0], links[1], links[2]},
-                             .bytes = 1_TiB,
-                             .queueWeight = 1.0 + f,
-                             .rateCap = 0.0,
-                             .onComplete = nullptr});
-    fluid.startFlow(FlowSpec{.path = {links[3], links[4], links[5]},
-                             .bytes = 1_TiB,
-                             .queueWeight = 1.0 + f,
-                             .rateCap = 0.0,
-                             .onComplete = nullptr});
-  }
-  fluid.engine().runUntil(1.0);  // warm up scratch arrays and event slots
-  const auto resolvesBefore = fluid.resolveCount();
-  const auto iterationsBefore = fluid.solverIterations();
-  {
-    AllocProbe probe;
-    fluid.engine().runUntil(2.0);
-    EXPECT_EQ(probe.count(), 0u)
-        << "steady-state resolves must not allocate";
-  }
-  EXPECT_GE(fluid.resolveCount(), resolvesBefore + 15);
-  EXPECT_GT(fluid.solverIterations(), iterationsBefore)
-      << "the solver must actually run in the measured window";
-  EXPECT_EQ(fluid.activeFlows(), 8u);
 }
 
 TEST(FluidIncremental, ClusterScaleResolveIsAllocationFree) {
@@ -337,8 +477,13 @@ TEST(FluidIncremental, ClusterScaleResolveIsAllocationFree) {
   // resources in 100 disjoint components, with a ring trace sink attached --
   // and the warmed-up resolve path still performs zero heap allocations.
   // Checked on both the exact path (ε = 0, every component re-solves every
-  // tick) and the ε-bounded path (deferral bookkeeping must be free too).
-  for (const double epsilon : {0.0, 25.0}) {
+  // tick) and the ε-bounded path (deferral bookkeeping must be free too),
+  // each with random per-flow weights (per-flow solves) and with ppn > 1:
+  // every app's flows come from 12 node paths at one weight, so the solves
+  // run over flow classes of ~8 ranks each.
+  for (const auto& [epsilon, ranksShareWeight] :
+       {std::pair{0.0, false}, std::pair{25.0, false}, std::pair{0.0, true},
+        std::pair{25.0, true}}) {
     FluidSimulator fluid;
     fluid.setSolverCheck(false);  // the differential check allocates by design
     if (epsilon > 0.0) fluid.setSolverEpsilon(epsilon);
@@ -355,14 +500,25 @@ TEST(FluidIncremental, ClusterScaleResolveIsAllocationFree) {
           }}));
     }
     util::Rng rng(20220714);
+    constexpr std::size_t kNodesPerApp = 12;
     for (std::size_t a = 0; a < kApps; ++a) {
+      std::vector<std::vector<ResourceIndex>> nodePaths(ranksShareWeight ? kNodesPerApp : 0);
+      for (auto& path : nodePaths) {
+        for (const auto r : rng.sampleWithoutReplacement(kResPerApp, 3)) {
+          path.push_back(links[a * kResPerApp + r]);
+        }
+      }
       for (std::size_t f = 0; f < kFlowsPerApp; ++f) {
         FlowSpec spec;
-        for (const auto r : rng.sampleWithoutReplacement(kResPerApp, 3)) {
-          spec.path.push_back(links[a * kResPerApp + r]);
+        if (ranksShareWeight) {
+          spec.path = nodePaths[f % kNodesPerApp];
+        } else {
+          for (const auto r : rng.sampleWithoutReplacement(kResPerApp, 3)) {
+            spec.path.push_back(links[a * kResPerApp + r]);
+          }
         }
         spec.bytes = 1_TiB;  // nothing completes inside the window
-        spec.queueWeight = rng.uniform(0.5, 4.0);
+        spec.queueWeight = ranksShareWeight ? 1.0 : rng.uniform(0.5, 4.0);
         fluid.startFlow(std::move(spec));
       }
     }
@@ -374,7 +530,7 @@ TEST(FluidIncremental, ClusterScaleResolveIsAllocationFree) {
       fluid.engine().runUntil(1.0);
       EXPECT_EQ(probe.count(), 0u)
           << "cluster-scale steady-state resolves must not allocate (epsilon="
-          << epsilon << ")";
+          << epsilon << ", ranks " << (ranksShareWeight ? "share" : "mix") << " weights)";
     }
     EXPECT_GE(fluid.resolveCount(), resolvesBefore + 9);
     EXPECT_EQ(fluid.activeFlows(), kApps * kFlowsPerApp);

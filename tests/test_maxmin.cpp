@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -353,6 +355,145 @@ TEST(SolverSoA, InvalidFlowsAreRejected) {
   EXPECT_THROW(workspace.solveSubset(view, emptyPath, rates), util::ContractError);
   const std::vector<std::uint32_t> unknownRes{1};  // adjacency says resource 7
   EXPECT_THROW(workspace.solveSubset(view, unknownRes, rates), util::ContractError);
+}
+
+// --- Flow classes (multiplicity) vs the expanded reference walk ----------
+
+/// A random problem of flow classes sharing one non-dyadic weight, plus the
+/// same problem expanded into one flow per member (members of different
+/// classes interleaved, as a component's flow list interleaves ranks).
+struct ClassProblem {
+  CsrProblem classes;  // one slot per class
+  std::vector<std::uint32_t> multiplicity;
+  CsrProblem expanded;  // one slot per member flow
+  std::vector<std::uint32_t> classOfFlow;
+
+  SolverView classView() const {
+    auto view = classes.view();
+    view.multiplicity = multiplicity;
+    return view;
+  }
+};
+
+ClassProblem randomClassProblem(std::uint64_t seed) {
+  util::Rng rng(seed);
+  ClassProblem p;
+  constexpr double kWeight = 0.93 / 3.0;
+  // Two or three disconnected resource groups, so the subset is a union of
+  // components; ~15% zero-capacity resources.
+  const auto groups = static_cast<std::size_t>(rng.uniformInt(2, 3));
+  std::vector<std::size_t> groupStart;
+  for (std::size_t g = 0; g < groups; ++g) {
+    groupStart.push_back(p.classes.capacity.size());
+    const auto nRes = static_cast<std::size_t>(rng.uniformInt(1, 6));
+    for (std::size_t r = 0; r < nRes; ++r) {
+      p.classes.capacity.push_back(rng.bernoulli(0.15) ? 0.0 : rng.uniform(10.0, 1000.0));
+    }
+  }
+  groupStart.push_back(p.classes.capacity.size());
+  const auto nClasses = static_cast<std::size_t>(rng.uniformInt(1, 24));
+  for (std::size_t c = 0; c < nClasses; ++c) {
+    const auto g = static_cast<std::size_t>(rng.uniformInt(0, static_cast<std::int64_t>(groups) - 1));
+    const std::size_t nRes = groupStart[g + 1] - groupStart[g];
+    const auto pathLen =
+        static_cast<std::size_t>(rng.uniformInt(1, static_cast<std::int64_t>(nRes)));
+    p.classes.adjOffset.push_back(static_cast<std::uint32_t>(p.classes.adjacency.size()));
+    p.classes.adjLen.push_back(static_cast<std::uint32_t>(pathLen));
+    for (const auto r : rng.sampleWithoutReplacement(nRes, pathLen)) {
+      p.classes.adjacency.push_back(static_cast<std::uint32_t>(groupStart[g] + r));
+    }
+    p.classes.weight.push_back(kWeight);
+    p.classes.rateCap.push_back(rng.bernoulli(0.3) ? rng.uniform(1.0, 300.0) : 0.0);
+    p.classes.subset.push_back(static_cast<std::uint32_t>(c));
+    p.multiplicity.push_back(static_cast<std::uint32_t>(rng.uniformInt(1, 9)));
+  }
+  for (std::size_t c = 0; c < nClasses; ++c) {
+    for (std::uint32_t k = 0; k < p.multiplicity[c]; ++k) {
+      p.classOfFlow.push_back(static_cast<std::uint32_t>(c));
+    }
+  }
+  rng.shuffle(p.classOfFlow);
+  p.expanded.capacity = p.classes.capacity;
+  for (std::size_t f = 0; f < p.classOfFlow.size(); ++f) {
+    const auto c = p.classOfFlow[f];
+    p.expanded.adjOffset.push_back(static_cast<std::uint32_t>(p.expanded.adjacency.size()));
+    p.expanded.adjLen.push_back(p.classes.adjLen[c]);
+    const auto* path = p.classes.adjacency.data() + p.classes.adjOffset[c];
+    p.expanded.adjacency.insert(p.expanded.adjacency.end(), path, path + p.classes.adjLen[c]);
+    p.expanded.weight.push_back(p.classes.weight[c]);
+    p.expanded.rateCap.push_back(p.classes.rateCap[c]);
+    p.expanded.subset.push_back(static_cast<std::uint32_t>(f));
+  }
+  return p;
+}
+
+TEST(SolverSoA, ClassSolveMatchesExpandedReferenceBitwise) {
+  // A class with multiplicity m must receive exactly the rate each of its m
+  // expanded member flows gets from the per-flow reference walk -- bit for
+  // bit and in the same number of filling iterations.  The weight 0.93/3 is
+  // not dyadic, so sums of its copies round: the class path must rebuild
+  // every resource's active weight by the same sequence of additions (and
+  // subtractions on freeze) as the expanded flows.
+  std::size_t aggregated = 0;
+  for (std::uint64_t seed = 900; seed < 1000; ++seed) {
+    const auto p = randomClassProblem(seed);
+    SolverWorkspace classWorkspace;
+    SolverWorkspace reference;
+    std::vector<double> classRates(p.multiplicity.size(), -1.0);
+    std::vector<double> flowRates(p.classOfFlow.size(), -1.0);
+    const auto classIters = classWorkspace.solveSubset(p.classView(), p.classes.subset, classRates);
+    const auto refIters =
+        reference.solveSubsetReference(p.expanded.view(), p.expanded.subset, flowRates);
+    EXPECT_EQ(classIters, refIters) << "seed " << seed;
+    for (std::size_t f = 0; f < flowRates.size(); ++f) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(classRates[p.classOfFlow[f]]),
+                std::bit_cast<std::uint64_t>(flowRates[f]))
+          << "seed " << seed << " flow " << f << " (class " << p.classOfFlow[f] << ")";
+    }
+    if (p.classOfFlow.size() > p.multiplicity.size()) ++aggregated;
+  }
+  EXPECT_GT(aggregated, 90u) << "most instances must actually aggregate flows";
+}
+
+TEST(SolverSoA, ClassSolveWithUnitMultiplicityIsThePerFlowSolve) {
+  // Multiplicity 1 everywhere is the per-flow solve under another name.
+  const auto p = randomClassProblem(77);
+  const std::vector<std::uint32_t> ones(p.expanded.subset.size(), 1);
+  auto view = p.expanded.view();
+  SolverWorkspace workspace;
+  std::vector<double> plain(ones.size(), -1.0);
+  std::vector<double> unit(ones.size(), -1.0);
+  const auto plainIters = workspace.solveSubset(view, p.expanded.subset, plain);
+  view.multiplicity = ones;
+  const auto unitIters = workspace.solveSubset(view, p.expanded.subset, unit);
+  EXPECT_EQ(plainIters, unitIters);
+  for (std::size_t f = 0; f < plain.size(); ++f) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(plain[f]), std::bit_cast<std::uint64_t>(unit[f]));
+  }
+}
+
+TEST(SolverSoA, ClassSolveRejectsMixedWeightsAndEmptyClasses) {
+  const std::vector<double> capacity{100.0};
+  const std::vector<std::uint32_t> adjacency{0, 0};
+  const std::vector<std::uint32_t> adjOffset{0, 1};
+  const std::vector<std::uint32_t> adjLen{1, 1};
+  const std::vector<double> weight{1.0, 2.0};
+  const std::vector<double> rateCap{0.0, 0.0};
+  const std::vector<std::uint32_t> multiplicity{3, 2};
+  SolverView view{capacity, adjacency, adjOffset, adjLen, weight, rateCap};
+  view.multiplicity = multiplicity;
+  SolverWorkspace workspace;
+  std::vector<double> rates(2, 0.0);
+  const std::vector<std::uint32_t> both{0, 1};
+  EXPECT_THROW(workspace.solveSubset(view, both, rates), util::ContractError)
+      << "mixed weights cannot be solved as classes";
+  EXPECT_THROW(workspace.solveSubsetReference(view, both, rates), util::ContractError)
+      << "the reference walk solves plain flows only";
+  const std::vector<std::uint32_t> noMembers{0, 0};
+  view.multiplicity = noMembers;
+  const std::vector<std::uint32_t> first{0};
+  EXPECT_THROW(workspace.solveSubset(view, first, rates), util::ContractError)
+      << "a class needs at least one member";
 }
 
 }  // namespace
