@@ -146,26 +146,38 @@ void FluidSimulator::removeObserver(FluidObserver* observer) {
   }
 }
 
+void FluidSimulator::setSolverCheck(bool enabled) {
+  if (enabled && !solverCheck_) {
+    // The shadows are only maintained while the check runs: restart them
+    // from the cohorts' banked values.
+    for (std::uint32_t slot = 0; slot < flowId_.size(); ++slot) {
+      if (flowId_[slot] != 0) flowShadow_[slot] = cohortRemaining_[flowCohort_[slot]];
+    }
+  }
+  solverCheck_ = enabled;
+}
+
 ResourceIndex FluidSimulator::addResource(ResourceSpec spec) {
   BEESIM_ASSERT(spec.capacity != nullptr, "resource needs a capacity model");
   const auto r = static_cast<std::uint32_t>(resources_.size());
   resources_.push_back(std::move(spec));
-  resCapacity_.push_back(0.0);
-  resFlowCount_.push_back(0);
-  resQueueDepth_.push_back(0.0);
-  resLoaded_.push_back(0);
-  ufParent_.push_back(r);
-  ufSize_.push_back(1);
-  compHead_.push_back(kNone);
-  compTail_.push_back(kNone);
-  compFlowCount_.push_back(0);
-  compLastProgress_.push_back(0.0);
-  compNextCompletion_.push_back(kInf);
-  compDirty_.push_back(0);
-  compStructural_.push_back(0);
-  compCapDrift_.push_back(0.0);
-  compListed_.push_back(0);
   return ResourceIndex{r};
+}
+
+void FluidSimulator::syncResourceState() {
+  // Sized in one step when flows first need it, so registering the
+  // thousands of resources of a large deployment appends one entry each.
+  const auto n = resources_.size();
+  if (comps_.size() == n) return;
+  const auto old = static_cast<std::uint32_t>(comps_.size());
+  resCapacity_.resize(n, 0.0);
+  resFlowCount_.resize(n, 0);
+  resQueueDepth_.resize(n, 0.0);
+  resLoaded_.resize(n, 0);
+  ufParent_.resize(n);
+  ufSize_.resize(n, 1);
+  comps_.resize(n);
+  for (auto r = old; r < n; ++r) ufParent_[r] = r;
 }
 
 const std::string& FluidSimulator::resourceName(ResourceIndex idx) const {
@@ -184,67 +196,79 @@ std::uint32_t FluidSimulator::findRoot(std::uint32_t r) const {
   return root;
 }
 
+std::uint32_t FluidSimulator::rootOfFlow(std::uint32_t slot) const {
+  return findRoot(classAdjacency_[classAdjOffset_[flowClass_[slot]]]);
+}
+
 std::uint32_t FluidSimulator::unite(std::uint32_t a, std::uint32_t b, SimTime at) {
   if (a == b) return a;
-  BEESIM_ASSERT(compLastProgress_[a] == at && compLastProgress_[b] == at,
+  BEESIM_ASSERT(comps_[a].lastProgress == at && comps_[b].lastProgress == at,
                 "components must be advanced to the merge instant");
   if (ufSize_[a] < ufSize_[b]) std::swap(a, b);
   ufParent_[b] = a;
   ufSize_[a] += ufSize_[b];
-  if (compHead_[b] != kNone) {
-    if (compHead_[a] == kNone) {
-      compHead_[a] = compHead_[b];
+  auto& ca = comps_[a];
+  auto& cb = comps_[b];
+  if (cb.head != kNone) {
+    if (ca.head == kNone) {
+      ca.head = cb.head;
     } else {
-      flowNext_[compTail_[a]] = compHead_[b];
+      flowNext_[ca.tail] = cb.head;
+      flowPrev_[cb.head] = ca.tail;
     }
-    compTail_[a] = compTail_[b];
+    ca.tail = cb.tail;
   }
-  compFlowCount_[a] += compFlowCount_[b];
-  compNextCompletion_[a] = std::min(compNextCompletion_[a], compNextCompletion_[b]);
+  if (cb.cohortHead != kNone) {
+    if (ca.cohortHead == kNone) {
+      ca.cohortHead = cb.cohortHead;
+    } else {
+      cohortNext_[ca.cohortTail] = cb.cohortHead;
+      cohortPrev_[cb.cohortHead] = ca.cohortTail;
+    }
+    ca.cohortTail = cb.cohortTail;
+  }
+  ca.flowCount += cb.flowCount;
+  ca.nextCompletion = std::min(ca.nextCompletion, cb.nextCompletion);
   // Carry the absorbed component's deferral state: its accumulated capacity
   // drift and structural flag now belong to the merged component.
-  compCapDrift_[a] += compCapDrift_[b];
-  if (compStructural_[b] != 0) compStructural_[a] = 1;
-  if (compDirty_[b] != 0 && compDirty_[a] == 0) markDirty(a, false);
-  compHead_[b] = kNone;
-  compTail_[b] = kNone;
-  compFlowCount_[b] = 0;
-  compNextCompletion_[b] = kInf;
-  compDirty_[b] = 0;
-  compStructural_[b] = 0;
-  compCapDrift_[b] = 0.0;
+  ca.capDrift += cb.capDrift;
+  if (cb.structural != 0) ca.structural = 1;
+  if (cb.dirty != 0 && ca.dirty == 0) markDirty(a, false);
+  ca.classesChanged = 1;
+  releaseCompiled(b);
+  cb = Component{};  // b is never a root again before the next reset
   listComponent(a);
   return a;
 }
 
 void FluidSimulator::markDirty(std::uint32_t root, bool structural) {
-  if (structural) compStructural_[root] = 1;
-  if (compDirty_[root] != 0) return;
-  compDirty_[root] = 1;
+  if (structural) comps_[root].structural = 1;
+  if (comps_[root].dirty != 0) return;
+  comps_[root].dirty = 1;
   dirtyRoots_.push_back(root);
 }
 
 void FluidSimulator::listComponent(std::uint32_t root) {
-  if (compListed_[root] != 0) return;
-  compListed_[root] = 1;
+  if (comps_[root].listed != 0) return;
+  comps_[root].listed = 1;
   activeRoots_.push_back(root);
 }
 
+void FluidSimulator::releaseCompiled(std::uint32_t root) {
+  if (comps_[root].compiled == kNone) return;
+  freeCompiled_.push_back(comps_[root].compiled);
+  comps_[root].compiled = kNone;
+}
+
 void FluidSimulator::resetComponents() {
-  const auto n = static_cast<std::uint32_t>(resources_.size());
+  const auto n = static_cast<std::uint32_t>(comps_.size());
   const SimTime t = engine_.now();
   for (std::uint32_t r = 0; r < n; ++r) {
     ufParent_[r] = r;
     ufSize_[r] = 1;
-    compHead_[r] = kNone;
-    compTail_[r] = kNone;
-    compFlowCount_[r] = 0;
-    compLastProgress_[r] = t;
-    compNextCompletion_[r] = kInf;
-    compDirty_[r] = 0;
-    compStructural_[r] = 0;
-    compCapDrift_[r] = 0.0;
-    compListed_[r] = 0;
+    releaseCompiled(r);
+    comps_[r] = Component{};
+    comps_[r].lastProgress = t;
     resLoaded_[r] = 0;
   }
   activeRoots_.clear();
@@ -252,15 +276,18 @@ void FluidSimulator::resetComponents() {
   loadedRes_.clear();
   pendingAllDirty_ = false;
   // Flow classes live exactly as long as the components: no flow is left
-  // to reference one.
+  // to reference one (and every cohort has been released with its last
+  // member).
   classAdjacency_.clear();
   classAdjOffset_.clear();
   classAdjLen_.clear();
   classWeight_.clear();
   classRateCap_.clear();
   classHash_.clear();
-  classCount_.clear();
+  classLive_.clear();
   classRate_.clear();
+  classNewest_.clear();
+  classMark_.clear();
   std::fill(classBuckets_.begin(), classBuckets_.end(), kNone);
 }
 
@@ -309,8 +336,10 @@ std::uint32_t FluidSimulator::classOf(const std::uint32_t* path, std::uint32_t l
   classWeight_.push_back(weight);
   classRateCap_.push_back(rateCap);
   classHash_.push_back(h);
-  classCount_.push_back(0);
+  classLive_.push_back(0);
   classRate_.push_back(0.0);
+  classNewest_.push_back(kNone);
+  classMark_.push_back(0);
   return c;
 }
 
@@ -322,26 +351,100 @@ std::uint32_t FluidSimulator::allocateFlowSlot() {
   }
   const auto slot = static_cast<std::uint32_t>(flowId_.size());
   flowId_.push_back(0);
-  flowRemaining_.push_back(0.0);
-  flowWeight_.push_back(1.0);
-  flowRateCap_.push_back(0.0);
-  flowRate_.push_back(0.0);
   flowStart_.push_back(0.0);
   flowBytes_.push_back(0);
   flowOnComplete_.emplace_back();
-  flowNext_.push_back(kNone);
   flowClass_.push_back(0);
-  pathOffset_.push_back(0);
-  pathLen_.push_back(0);
-  pathCap_.push_back(0);
+  flowCohort_.push_back(kNone);
+  flowPrev_.push_back(kNone);
+  flowNext_.push_back(kNone);
+  flowCohortPrev_.push_back(kNone);
+  flowCohortNext_.push_back(kNone);
+  flowRound_.push_back(0);
+  flowShadow_.push_back(0.0);
   return slot;
 }
 
 void FluidSimulator::freeFlowSlot(std::uint32_t slot) {
   flowId_[slot] = 0;
-  flowRate_[slot] = 0.0;
   flowOnComplete_[slot] = nullptr;
   freeFlowSlots_.push_back(slot);
+}
+
+std::uint32_t FluidSimulator::findCohort(std::uint32_t cls, double remaining) const {
+  // Candidates: the class's newest cohort (it may have been stalled since
+  // it opened) and every cohort the class opened at this instant, newest
+  // first -- a node's ranks may start chunks of two sizes to one target at
+  // one instant.  Older cohorts have moved, so their bytes cannot match.
+  // Links are checked against the sequence numbers, since a released
+  // cohort's id may have been reused since it was linked.
+  std::uint64_t bound = std::numeric_limits<std::uint64_t>::max();
+  for (auto h = classNewest_[cls]; h != kNone && cohortSeq_[h] < bound; h = cohortOlder_[h]) {
+    if (cohortSize_[h] != 0 && cohortClass_[h] == cls &&
+        std::bit_cast<std::uint64_t>(cohortRemaining_[h]) ==
+            std::bit_cast<std::uint64_t>(remaining)) {
+      return h;
+    }
+    if (cohortSeq_[h] < cohortInstantSeq_) break;
+    bound = cohortSeq_[h];
+  }
+  return kNone;
+}
+
+std::uint32_t FluidSimulator::allocateCohort(std::uint32_t cls, double remaining,
+                                             std::uint32_t root) {
+  std::uint32_t h;
+  if (!freeCohorts_.empty()) {
+    h = freeCohorts_.back();
+    freeCohorts_.pop_back();
+  } else {
+    h = static_cast<std::uint32_t>(cohortRemaining_.size());
+    cohortRemaining_.push_back(0.0);
+    cohortClass_.push_back(0);
+    cohortHead_.push_back(kNone);
+    cohortTail_.push_back(kNone);
+    cohortSize_.push_back(0);
+    cohortPrev_.push_back(kNone);
+    cohortNext_.push_back(kNone);
+    cohortFinished_.push_back(0);
+    cohortOlder_.push_back(kNone);
+    cohortSeq_.push_back(0);
+  }
+  cohortRemaining_[h] = remaining;
+  cohortClass_[h] = cls;
+  cohortOlder_[h] = classNewest_[cls];
+  cohortSeq_[h] = cohortSeqNext_++;
+  classNewest_[cls] = h;
+  cohortHead_[h] = kNone;
+  cohortTail_[h] = kNone;
+  cohortSize_[h] = 0;
+  cohortNext_[h] = kNone;
+  cohortPrev_[h] = comps_[root].cohortTail;
+  if (comps_[root].cohortTail == kNone) {
+    comps_[root].cohortHead = h;
+  } else {
+    cohortNext_[comps_[root].cohortTail] = h;
+  }
+  comps_[root].cohortTail = h;
+  return h;
+}
+
+void FluidSimulator::releaseCohort(std::uint32_t h, std::uint32_t root) {
+  const auto prev = cohortPrev_[h];
+  const auto next = cohortNext_[h];
+  if (prev == kNone) {
+    comps_[root].cohortHead = next;
+  } else {
+    cohortNext_[prev] = next;
+  }
+  if (next == kNone) {
+    comps_[root].cohortTail = prev;
+  } else {
+    cohortPrev_[next] = prev;
+  }
+  if (classNewest_[cohortClass_[h]] == h) classNewest_[cohortClass_[h]] = kNone;
+  cohortFinished_[h] = 0;
+  freeCohorts_.push_back(h);
 }
 
 FlowId FluidSimulator::startFlow(FlowSpec spec) {
@@ -351,6 +454,7 @@ FlowId FluidSimulator::startFlow(FlowSpec spec) {
   }
   const FlowId id{nextFlowId_++};
   const SimTime t = engine_.now();
+  syncResourceState();
 
   if (spec.bytes == 0) {
     // Degenerate flow: completes instantly, never enters the solver.  The
@@ -371,31 +475,15 @@ FlowId FluidSimulator::startFlow(FlowSpec spec) {
 
   const auto slot = allocateFlowSlot();
   flowId_[slot] = id.value;
-  flowRemaining_[slot] = util::toMiB(spec.bytes);
-  flowWeight_[slot] = spec.queueWeight;
-  flowRateCap_[slot] = spec.rateCap;
-  flowRate_[slot] = 0.0;
   flowStart_[slot] = t;
   flowBytes_[slot] = spec.bytes;
   flowOnComplete_[slot] = std::move(spec.onComplete);
 
   const auto len = static_cast<std::uint32_t>(spec.path.size());
-  if (pathCap_[slot] < len) {
-    // The slot's previous arena region is too small; claim a fresh one at
-    // the end.  Slots recycled for same-shaped flows reuse their region, so
-    // the arena stops growing once the workload's shapes have been seen.
-    pathOffset_[slot] = static_cast<std::uint32_t>(pathArena_.size());
-    pathCap_[slot] = len;
-    pathArena_.resize(pathArena_.size() + len);
-    adjacencyArena_.resize(adjacencyArena_.size() + len);
-  }
-  pathLen_[slot] = len;
-  for (std::uint32_t i = 0; i < len; ++i) {
-    pathArena_[pathOffset_[slot] + i] = spec.path[i];
-    adjacencyArena_[pathOffset_[slot] + i] = spec.path[i].value;
-  }
-  flowClass_[slot] =
-      classOf(adjacencyArena_.data() + pathOffset_[slot], len, spec.queueWeight, spec.rateCap);
+  pathScratch_.resize(len);
+  for (std::uint32_t i = 0; i < len; ++i) pathScratch_[i] = spec.path[i].value;
+  const auto cls = classOf(pathScratch_.data(), len, spec.queueWeight, spec.rateCap);
+  flowClass_[slot] = cls;
 
   // Settle and merge the components the path touches.  Banking each
   // component's progress *before* membership changes keeps the piecewise
@@ -410,13 +498,38 @@ FlowId FluidSimulator::startFlow(FlowSpec spec) {
   }
 
   flowNext_[slot] = kNone;
-  if (compTail_[root] == kNone) {
-    compHead_[root] = slot;
+  flowPrev_[slot] = comps_[root].tail;
+  if (comps_[root].tail == kNone) {
+    comps_[root].head = slot;
   } else {
-    flowNext_[compTail_[root]] = slot;
+    flowNext_[comps_[root].tail] = slot;
   }
-  compTail_[root] = slot;
-  ++compFlowCount_[root];
+  comps_[root].tail = slot;
+  ++comps_[root].flowCount;
+
+  // Join a cohort of the class that still holds exactly this many bytes:
+  // from here on the shared class rate keeps them equal.
+  const double remaining = util::toMiB(spec.bytes);
+  if (t != cohortInstant_) {
+    cohortInstant_ = t;
+    cohortInstantSeq_ = cohortSeqNext_;
+  }
+  auto h = findCohort(cls, remaining);
+  if (h == kNone) h = allocateCohort(cls, remaining, root);
+  flowCohort_[slot] = h;
+  flowCohortNext_[slot] = kNone;
+  flowCohortPrev_[slot] = cohortTail_[h];
+  if (cohortTail_[h] == kNone) {
+    cohortHead_[h] = slot;
+  } else {
+    flowCohortNext_[cohortTail_[h]] = slot;
+  }
+  cohortTail_[h] = slot;
+  ++cohortSize_[h];
+  if (classLive_[cls]++ == 0) comps_[root].classesChanged = 1;
+  flowRound_[slot] = solveRound_;
+  flowShadow_[slot] = remaining;
+
   for (std::uint32_t i = 0; i < len; ++i) {
     const auto r = spec.path[i].value;
     if (resLoaded_[r] == 0) {
@@ -429,11 +542,7 @@ FlowId FluidSimulator::startFlow(FlowSpec spec) {
   markDirty(root);
   listComponent(root);
 
-  if (observer_ != nullptr) {
-    observer_->onFlowStarted(
-        id, std::span<const ResourceIndex>(pathArena_.data() + pathOffset_[slot], len),
-        spec.bytes, t);
-  }
+  if (observer_ != nullptr) observer_->onFlowStarted(id, spec.path, spec.bytes, t);
   idMap_.insert(id.value, slot);
   ++activeCount_;
   scheduleResolve();
@@ -446,35 +555,52 @@ void FluidSimulator::startFlowAt(SimTime at, FlowSpec spec) {
 
 util::MiBps FluidSimulator::flowRate(FlowId id) const {
   const auto slot = idMap_.find(id.value);
-  return slot == kNone ? 0.0 : flowRate_[slot];
+  return slot == kNone ? 0.0 : rateOf(slot);
 }
 
 bool FluidSimulator::flowActive(FlowId id) const { return idMap_.find(id.value) != kNone; }
+
+void FluidSimulator::unlinkFlow(std::uint32_t slot, std::uint32_t root) {
+  const auto prev = flowPrev_[slot];
+  const auto next = flowNext_[slot];
+  if (prev == kNone) {
+    comps_[root].head = next;
+  } else {
+    flowNext_[prev] = next;
+  }
+  if (next == kNone) {
+    comps_[root].tail = prev;
+  } else {
+    flowPrev_[next] = prev;
+  }
+  --comps_[root].flowCount;
+
+  const auto h = flowCohort_[slot];
+  const auto cprev = flowCohortPrev_[slot];
+  const auto cnext = flowCohortNext_[slot];
+  if (cprev == kNone) {
+    cohortHead_[h] = cnext;
+  } else {
+    flowCohortNext_[cprev] = cnext;
+  }
+  if (cnext == kNone) {
+    cohortTail_[h] = cprev;
+  } else {
+    flowCohortPrev_[cnext] = cprev;
+  }
+  if (--cohortSize_[h] == 0) releaseCohort(h, root);
+  if (--classLive_[flowClass_[slot]] == 0) comps_[root].classesChanged = 1;
+}
 
 std::optional<util::Bytes> FluidSimulator::cancelFlow(FlowId id) {
   const auto slot = idMap_.find(id.value);
   if (slot == kNone) return std::nullopt;
   const SimTime t = engine_.now();
-  const auto root = findRoot(adjacencyArena_[pathOffset_[slot]]);
+  const auto root = rootOfFlow(slot);
   advanceComponent(root, t);
 
-  // Unlink the slot from the component's intrusive flow list.
-  std::uint32_t prev = kNone;
-  std::uint32_t cur = compHead_[root];
-  while (cur != slot) {
-    BEESIM_ASSERT(cur != kNone, "cancelled flow missing from its component list");
-    prev = cur;
-    cur = flowNext_[cur];
-  }
-  if (prev == kNone) {
-    compHead_[root] = flowNext_[slot];
-  } else {
-    flowNext_[prev] = flowNext_[slot];
-  }
-  if (compTail_[root] == slot) compTail_[root] = prev;
-  --compFlowCount_[root];
-
-  const double remainingMiB = std::max(0.0, flowRemaining_[slot]);
+  const double remainingMiB = std::max(0.0, cohortRemaining_[flowCohort_[slot]]);
+  unlinkFlow(slot, root);
   const auto remaining = static_cast<util::Bytes>(
       std::min<double>(std::ceil(remainingMiB * static_cast<double>(util::kMiB)),
                        static_cast<double>(flowBytes_[slot])));
@@ -512,57 +638,162 @@ void FluidSimulator::scheduleResolve() {
 }
 
 void FluidSimulator::advanceComponent(std::uint32_t root, SimTime t) {
-  BEESIM_ASSERT(t >= compLastProgress_[root], "component progress moved backwards");
-  const double dt = t - compLastProgress_[root];
+  BEESIM_ASSERT(t >= comps_[root].lastProgress, "component progress moved backwards");
+  const double dt = t - comps_[root].lastProgress;
   if (dt > 0.0) {
-    for (auto slot = compHead_[root]; slot != kNone; slot = flowNext_[slot]) {
-      flowRemaining_[slot] = std::max(0.0, flowRemaining_[slot] - flowRate_[slot] * dt);
+    // Every member of a cohort would perform this very update on the same
+    // values.  (A flow not yet solved transfers at 0, but no time passes
+    // between its start and its first solve.)
+    for (auto h = comps_[root].cohortHead; h != kNone; h = cohortNext_[h]) {
+      cohortRemaining_[h] =
+          std::max(0.0, cohortRemaining_[h] - classRate_[cohortClass_[h]] * dt);
+    }
+    if (solverCheck_) {
+      // The independent per-flow record the check compares against.
+      for (auto slot = comps_[root].head; slot != kNone; slot = flowNext_[slot]) {
+        flowShadow_[slot] = std::max(0.0, flowShadow_[slot] - rateOf(slot) * dt);
+      }
     }
   }
-  compLastProgress_[root] = t;
+  comps_[root].lastProgress = t;
 }
 
 void FluidSimulator::removeFlowLoad(std::uint32_t slot) {
-  const auto* adj = adjacencyArena_.data() + pathOffset_[slot];
-  for (std::uint32_t i = 0; i < pathLen_[slot]; ++i) {
+  const auto c = flowClass_[slot];
+  const auto* adj = classAdjacency_.data() + classAdjOffset_[c];
+  for (std::uint32_t i = 0; i < classAdjLen_[c]; ++i) {
     const auto r = adj[i];
     --resFlowCount_[r];
-    resQueueDepth_[r] -= flowWeight_[slot];
+    resQueueDepth_[r] -= classWeight_[c];
     // Reset to exactly zero when the resource empties so repeated +/- of
     // doubles cannot leave a residue in the queue-depth accounting.
     if (resFlowCount_[r] == 0) resQueueDepth_[r] = 0.0;
   }
 }
 
+void FluidSimulator::finishFlow(std::uint32_t slot, std::uint32_t root, SimTime t) {
+  unlinkFlow(slot, root);
+  removeFlowLoad(slot);
+  idMap_.erase(flowId_[slot]);
+  --activeCount_;
+  // Callbacks are deferred to the drain list: an onComplete that starts
+  // new flows (the IOR segment chain does) must not mutate component
+  // lists while this sweep walks them.
+  drain_.push_back(DrainEntry{
+      FlowStats{FlowId{flowId_[slot]}, flowStart_[slot], t, flowBytes_[slot]},
+      std::move(flowOnComplete_[slot])});
+  freeFlowSlot(slot);
+}
+
 void FluidSimulator::settleComponent(std::uint32_t root, SimTime t) {
   advanceComponent(root, t);
-  std::uint32_t prev = kNone;
-  std::uint32_t slot = compHead_[root];
-  while (slot != kNone) {
-    const auto next = flowNext_[slot];
-    if (flowRemaining_[slot] <= kRemainderEpsMiB) {
-      if (prev == kNone) {
-        compHead_[root] = next;
-      } else {
-        flowNext_[prev] = next;
-      }
-      if (compTail_[root] == slot) compTail_[root] = prev;
-      --compFlowCount_[root];
-      removeFlowLoad(slot);
-      idMap_.erase(flowId_[slot]);
-      --activeCount_;
-      // Callbacks are deferred to the drain list: an onComplete that starts
-      // new flows (the IOR segment chain does) must not mutate component
-      // lists while this sweep walks them.
-      drain_.push_back(DrainEntry{FlowStats{FlowId{flowId_[slot]}, flowStart_[slot], t,
-                                            flowBytes_[slot]},
-                                  std::move(flowOnComplete_[slot])});
-      freeFlowSlot(slot);
-    } else {
-      prev = slot;
+  std::uint32_t finished = 0;
+  std::uint32_t last = kNone;
+  for (auto h = comps_[root].cohortHead; h != kNone; h = cohortNext_[h]) {
+    if (cohortRemaining_[h] <= kRemainderEpsMiB) {
+      cohortFinished_[h] = 1;
+      ++finished;
+      last = h;
     }
-    slot = next;
   }
+  // Completions drain in component-list order.  One finished cohort's
+  // member list already is in that order; several are picked out of one
+  // walk over the component list.
+  if (finished == 1) {
+    for (auto slot = cohortHead_[last]; slot != kNone;) {
+      const auto next = flowCohortNext_[slot];
+      finishFlow(slot, root, t);
+      slot = next;
+    }
+  } else if (finished > 1) {
+    for (auto slot = comps_[root].head; slot != kNone;) {
+      const auto next = flowNext_[slot];
+      if (cohortFinished_[flowCohort_[slot]] != 0) finishFlow(slot, root, t);
+      slot = next;
+    }
+  }
+}
+
+bool FluidSimulator::gatherClasses(std::uint32_t root) {
+  subsetClasses_.clear();
+  for (auto h = comps_[root].cohortHead; h != kNone; h = cohortNext_[h]) {
+    const auto c = cohortClass_[h];
+    if (classMark_[c] != 0) continue;
+    classMark_[c] = 1;
+    subsetClasses_.push_back(c);
+  }
+  bool oneWeight = true;
+  for (const auto c : subsetClasses_) {
+    classMark_[c] = 0;
+    if (classWeight_[c] != classWeight_[subsetClasses_.front()]) oneWeight = false;
+  }
+  return oneWeight;
+}
+
+std::size_t FluidSimulator::solvePositions(std::span<const std::uint32_t> slots,
+                                           SolverWorkspace& workspace, bool reference) {
+  const std::size_t n = slots.size();
+  posOffset_.resize(n);
+  posLen_.resize(n);
+  posWeight_.resize(n);
+  posRateCap_.resize(n);
+  posRate_.resize(n);
+  while (positions_.size() < n) {
+    positions_.push_back(static_cast<std::uint32_t>(positions_.size()));
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    const auto c = flowClass_[slots[j]];
+    posOffset_[j] = classAdjOffset_[c];
+    posLen_[j] = classAdjLen_[c];
+    posWeight_[j] = classWeight_[c];
+    posRateCap_[j] = classRateCap_[c];
+  }
+  const SolverView view{resCapacity_, classAdjacency_, posOffset_,
+                        posLen_,      posWeight_,      posRateCap_};
+  const std::span<const std::uint32_t> subset(positions_.data(), n);
+  return reference ? workspace.solveSubsetReference(view, subset, posRate_)
+                   : workspace.solveSubset(view, subset, posRate_);
+}
+
+void FluidSimulator::solveComponent(std::uint32_t r) {
+  // A component whose classes share one weight is solved over its compiled
+  // class problem (bit-identical, see maxmin.hpp), recompiled only when a
+  // class entered or left or components merged; otherwise the flows are
+  // solved one by one over the position view, in component-list order.
+  auto& comp = comps_[r];
+  const bool changed = comp.classesChanged != 0;
+  comp.classesChanged = 0;
+  if (changed) comp.oneWeight = gatherClasses(r) ? 1 : 0;
+  if (referenceSolver_ || comp.oneWeight == 0) {
+    if (changed) releaseCompiled(r);  // stale from here on
+    subsetSlots_.clear();
+    for (auto slot = comp.head; slot != kNone; slot = flowNext_[slot]) {
+      subsetSlots_.push_back(slot);
+    }
+    solverIterations_ += solvePositions(subsetSlots_, workspace_, referenceSolver_);
+    // Members of one class receive bit-identical rates from the per-flow
+    // solve (same operations on the same values), so any one stands for it.
+    for (std::size_t j = 0; j < subsetSlots_.size(); ++j) {
+      classRate_[flowClass_[subsetSlots_[j]]] = posRate_[j];
+    }
+    return;
+  }
+  if (changed || comp.compiled == kNone) {
+    if (!changed) gatherClasses(r);
+    if (comp.compiled == kNone) {
+      if (freeCompiled_.empty()) {
+        freeCompiled_.push_back(static_cast<std::uint32_t>(compiled_.size()));
+        compiled_.emplace_back();
+      }
+      comp.compiled = freeCompiled_.back();
+      freeCompiled_.pop_back();
+    }
+    const SolverView classView{resCapacity_, classAdjacency_, classAdjOffset_,
+                               classAdjLen_, classWeight_,    classRateCap_};
+    workspace_.compileClasses(classView, subsetClasses_, compiled_[comp.compiled]);
+  }
+  solverIterations_ += workspace_.solveCompiled(compiled_[comp.compiled], resCapacity_,
+                                                classLive_, classRate_, resFlowCount_);
 }
 
 void FluidSimulator::resolveNow() {
@@ -586,19 +817,20 @@ void FluidSimulator::resolveNow() {
 
   const SimTime t = engine_.now();
   ++resolveCount_;
+  syncResourceState();
 
   // 1. Components whose next completion is due: bank progress and move the
   //    finished flows out.  A due component is re-solved regardless, so its
   //    completion horizon is refreshed even when rounding left a sliver.
   for (std::size_t i = 0; i < activeRoots_.size();) {
     const auto r = activeRoots_[i];
-    if (findRoot(r) != r || compFlowCount_[r] == 0) {
-      compListed_[r] = 0;
+    if (findRoot(r) != r || comps_[r].flowCount == 0) {
+      comps_[r].listed = 0;
       activeRoots_[i] = activeRoots_.back();
       activeRoots_.pop_back();
       continue;
     }
-    if (compNextCompletion_[r] <= t) {
+    if (comps_[r].nextCompletion <= t) {
       settleComponent(r, t);
       markDirty(r);
     }
@@ -634,8 +866,8 @@ void FluidSimulator::resolveNow() {
     pendingAllDirty_ = false;
     for (std::size_t i = 0; i < activeRoots_.size();) {
       const auto r = activeRoots_[i];
-      if (findRoot(r) != r || compFlowCount_[r] == 0) {
-        compListed_[r] = 0;
+      if (findRoot(r) != r || comps_[r].flowCount == 0) {
+        comps_[r].listed = 0;
         activeRoots_[i] = activeRoots_.back();
         activeRoots_.pop_back();
         continue;
@@ -658,7 +890,7 @@ void FluidSimulator::resolveNow() {
                   "capacity model returned a negative rate for " + resources_[r].name);
     if (cap != resCapacity_[r]) {
       const auto root = findRoot(r);
-      compCapDrift_[root] += std::abs(cap - resCapacity_[r]);
+      comps_[root].capDrift += std::abs(cap - resCapacity_[r]);
       const bool zeroEdge = cap == 0.0 || resCapacity_[r] == 0.0;
       resCapacity_[r] = cap;
       markDirty(root, zeroEdge);
@@ -679,67 +911,44 @@ void FluidSimulator::resolveNow() {
   solvedRates_.clear();
   std::size_t solvedCount = 0;
   const bool record = observer_ != nullptr;
-  const SolverView view{resCapacity_, adjacencyArena_, pathOffset_,
-                        pathLen_,     flowWeight_,     flowRateCap_};
-  const SolverView classView{resCapacity_, classAdjacency_, classAdjOffset_, classAdjLen_,
-                             classWeight_, classRateCap_,   classCount_};
   for (std::size_t i = 0; i < dirtyRoots_.size(); ++i) {
     const auto listed = dirtyRoots_[i];
     const auto r = findRoot(listed);
-    if (compDirty_[r] == 0) continue;  // merged away or already solved
-    if (epsilon_ > 0.0 && compStructural_[r] == 0 && compCapDrift_[r] <= epsilon_ &&
-        compFlowCount_[r] != 0) {
-      compDirty_[r] = 0;
+    if (comps_[r].dirty == 0) continue;  // merged away or already solved
+    if (epsilon_ > 0.0 && comps_[r].structural == 0 && comps_[r].capDrift <= epsilon_ &&
+        comps_[r].flowCount != 0) {
+      comps_[r].dirty = 0;
       ++deferredResolves_;
       continue;
     }
-    compDirty_[r] = 0;
-    compStructural_[r] = 0;
-    compCapDrift_[r] = 0.0;
-    if (compFlowCount_[r] == 0) {
-      compNextCompletion_[r] = kInf;
+    comps_[r].dirty = 0;
+    comps_[r].structural = 0;
+    comps_[r].capDrift = 0.0;
+    if (comps_[r].flowCount == 0) {
+      comps_[r].nextCompletion = kInf;
       continue;
     }
     advanceComponent(r, t);
-    // Count the component's members per flow class.  When every class
-    // shares one weight the solve runs over the classes (bit-identical, see
-    // maxmin.hpp) and each class rate is copied to its members; otherwise
-    // the flows are solved one by one.
-    subsetSlots_.clear();
-    subsetClasses_.clear();
-    bool oneWeight = true;
-    const double weight = flowWeight_[compHead_[r]];
-    for (auto slot = compHead_[r]; slot != kNone; slot = flowNext_[slot]) {
-      subsetSlots_.push_back(slot);
-      const auto c = flowClass_[slot];
-      if (classCount_[c]++ == 0) {
-        subsetClasses_.push_back(c);
-        if (classWeight_[c] != weight) oneWeight = false;
-      }
-    }
-    if (referenceSolver_) {
-      solverIterations_ += workspace_.solveSubsetReference(view, subsetSlots_, flowRate_);
-    } else if (oneWeight) {
-      solverIterations_ += workspace_.solveSubset(classView, subsetClasses_, classRate_);
-      for (const auto slot : subsetSlots_) flowRate_[slot] = classRate_[flowClass_[slot]];
-    } else {
-      solverIterations_ += workspace_.solveSubset(view, subsetSlots_, flowRate_);
-    }
-    for (const auto c : subsetClasses_) classCount_[c] = 0;
-    solvedCount += subsetSlots_.size();
+    solveComponent(r);
+    solvedCount += comps_[r].flowCount;
+    // Members of a cohort share its remaining bytes and their class rate,
+    // so the earliest completion is a min over cohorts.
     double horizon = kInf;
-    for (const auto slot : subsetSlots_) {
-      if (flowRate_[slot] > 0.0) {
-        horizon = std::min(horizon, flowRemaining_[slot] / flowRate_[slot]);
-      }
-      if (record) {
+    for (auto h = comps_[r].cohortHead; h != kNone; h = cohortNext_[h]) {
+      const double rate = classRate_[cohortClass_[h]];
+      if (rate > 0.0) horizon = std::min(horizon, cohortRemaining_[h] / rate);
+    }
+    comps_[r].nextCompletion = std::isfinite(horizon) ? t + horizon : kInf;
+    if (record) {
+      for (auto slot = comps_[r].head; slot != kNone; slot = flowNext_[slot]) {
         solvedIds_.push_back(FlowId{flowId_[slot]});
-        solvedRates_.push_back(flowRate_[slot]);
+        solvedRates_.push_back(classRate_[flowClass_[slot]]);
       }
     }
-    compNextCompletion_[r] = std::isfinite(horizon) ? t + horizon : kInf;
   }
   dirtyRoots_.clear();
+  // Every flow started before this point has now been through a solve.
+  ++solveRound_;
   lastSolvedFlows_ = solvedCount;
 
   if (solverCheck_) runSolverCheck();
@@ -761,13 +970,13 @@ void FluidSimulator::scheduleNextWakeup() {
   double horizon = kInf;
   for (std::size_t i = 0; i < activeRoots_.size();) {
     const auto r = activeRoots_[i];
-    if (findRoot(r) != r || compFlowCount_[r] == 0) {
-      compListed_[r] = 0;
+    if (findRoot(r) != r || comps_[r].flowCount == 0) {
+      comps_[r].listed = 0;
       activeRoots_[i] = activeRoots_.back();
       activeRoots_.pop_back();
       continue;
     }
-    horizon = std::min(horizon, compNextCompletion_[r] - t);
+    horizon = std::min(horizon, comps_[r].nextCompletion - t);
     ++i;
   }
   if (resolveInterval_ > 0.0) horizon = std::min(horizon, resolveInterval_);
@@ -791,27 +1000,61 @@ void FluidSimulator::scheduleNextWakeup() {
 }
 
 void FluidSimulator::runSolverCheck() {
-  // Differential mode: recount loads exactly and re-solve *all* live flows
-  // as one subset with a scratch workspace, then compare against the
-  // incrementally maintained state.  Allocation-freedom is not a goal here;
-  // this path only runs when explicitly enabled.
+  // Differential mode: recount loads, class members and component class
+  // sets exactly, compare every flow's cohort against its per-flow shadow,
+  // and re-solve *all* live flows from scratch with a scratch workspace.
+  // Allocation-freedom is not a goal here; this path only runs when
+  // explicitly enabled.
   std::vector<std::uint32_t> countCheck(resources_.size(), 0);
   std::vector<double> depthCheck(resources_.size(), 0.0);
-  checkSlots_.clear();
+  std::vector<std::uint32_t> liveCheck(classHash_.size(), 0);
+  std::vector<std::uint32_t> checkSlots;
   for (std::uint32_t slot = 0; slot < flowId_.size(); ++slot) {
     if (flowId_[slot] == 0) continue;
-    checkSlots_.push_back(slot);
-    const auto* adj = adjacencyArena_.data() + pathOffset_[slot];
-    for (std::uint32_t i = 0; i < pathLen_[slot]; ++i) {
+    checkSlots.push_back(slot);
+    const auto c = flowClass_[slot];
+    ++liveCheck[c];
+    const auto* adj = classAdjacency_.data() + classAdjOffset_[c];
+    for (std::uint32_t i = 0; i < classAdjLen_[c]; ++i) {
       ++countCheck[adj[i]];
-      depthCheck[adj[i]] += flowWeight_[slot];
+      depthCheck[adj[i]] += classWeight_[c];
     }
+    const auto h = flowCohort_[slot];
+    BEESIM_ASSERT(cohortClass_[h] == c, "solver check: flow sits in another class's cohort");
+    BEESIM_ASSERT(std::bit_cast<std::uint64_t>(flowShadow_[slot]) ==
+                      std::bit_cast<std::uint64_t>(cohortRemaining_[h]),
+                  "solver check: cohort remaining bytes diverged for flow #" +
+                      std::to_string(flowId_[slot]) + " (" +
+                      std::to_string(cohortRemaining_[h]) + " vs per-flow " +
+                      std::to_string(flowShadow_[slot]) + ")");
   }
-  BEESIM_ASSERT(checkSlots_.size() == activeCount_,
+  BEESIM_ASSERT(checkSlots.size() == activeCount_,
                 "solver check: live-slot count disagrees with activeFlows()");
+  for (std::uint32_t c = 0; c < classHash_.size(); ++c) {
+    BEESIM_ASSERT(liveCheck[c] == classLive_[c], "solver check: stale class member count");
+  }
   std::size_t compTotal = 0;
   for (const auto r : activeRoots_) {
-    if (findRoot(r) == r) compTotal += compFlowCount_[r];
+    if (findRoot(r) != r) continue;
+    compTotal += comps_[r].flowCount;
+    if (comps_[r].flowCount == 0 || comps_[r].classesChanged != 0) continue;
+    // The compiled class set must be exactly the classes live in r.
+    std::vector<std::uint32_t> expect;
+    bool oneWeight = true;
+    for (std::uint32_t c = 0; c < classHash_.size(); ++c) {
+      if (liveCheck[c] != 0 && findRoot(classAdjacency_[classAdjOffset_[c]]) == r) {
+        if (!expect.empty() && classWeight_[c] != classWeight_[expect.front()]) {
+          oneWeight = false;
+        }
+        expect.push_back(c);
+      }
+    }
+    BEESIM_ASSERT(oneWeight == (comps_[r].oneWeight != 0),
+                  "solver check: stale one-weight flag of a component");
+    if (!oneWeight || referenceSolver_ || comps_[r].compiled == kNone) continue;
+    std::vector<std::uint32_t> got = compiled_[comps_[r].compiled].slot;
+    std::sort(got.begin(), got.end());
+    BEESIM_ASSERT(got == expect, "solver check: stale compiled class set");
   }
   BEESIM_ASSERT(compTotal == activeCount_,
                 "solver check: component flow counts disagree with activeFlows()");
@@ -823,17 +1066,15 @@ void FluidSimulator::runSolverCheck() {
                   "solver check: stale queue depth on " + resources_[r].name);
   }
 
-  checkRates_.resize(flowRate_.size());
-  const SolverView view{resCapacity_, adjacencyArena_, pathOffset_,
-                        pathLen_,     flowWeight_,     flowRateCap_};
-  // The scratch solve uses the scalar reference walk, so in the default SoA
-  // configuration this also differentially pins the vectorized layout.  With
-  // ε-deferral enabled the maintained rates may lag the exact solution by up
-  // to the configured bound, so the tolerance widens by ε.
-  checkWorkspace_.solveSubsetReference(view, checkSlots_, checkRates_);
-  for (const auto slot : checkSlots_) {
-    const double expect = checkRates_[slot];
-    const double got = flowRate_[slot];
+  // The scratch solve uses the scalar reference walk, flow by flow, so in
+  // the default configuration this also differentially pins the class
+  // solve.  With ε-deferral enabled the maintained rates may lag the exact
+  // solution by up to the configured bound, so the tolerance widens by ε.
+  solvePositions(checkSlots, checkWorkspace_, true);
+  for (std::size_t j = 0; j < checkSlots.size(); ++j) {
+    const auto slot = checkSlots[j];
+    const double expect = posRate_[j];
+    const double got = rateOf(slot);
     BEESIM_ASSERT(std::abs(got - expect) <=
                       1e-9 * std::max(1.0, std::abs(expect)) + epsilon_,
                   "solver check: incremental rate diverged for flow #" +
@@ -855,9 +1096,10 @@ void FluidSimulator::run() {
     if (flowId_[slot] == 0) continue;
     ++listed;
     msg += "\n  flow #" + std::to_string(flowId_[slot]) + " via [";
-    for (std::uint32_t i = 0; i < pathLen_[slot]; ++i) {
+    const auto c = flowClass_[slot];
+    for (std::uint32_t i = 0; i < classAdjLen_[c]; ++i) {
       if (i > 0) msg += " -> ";
-      msg += resources_[adjacencyArena_[pathOffset_[slot] + i]].name;
+      msg += resources_[classAdjacency_[classAdjOffset_[c] + i]].name;
     }
     msg += "]";
   }

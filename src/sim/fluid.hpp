@@ -23,15 +23,24 @@
 // bookkeeping lives in flat slot-indexed arrays reused across the run; a
 // steady-state resolve performs zero heap allocations.
 //
-// Flow classes: ranks of one node writing to one target start flows with
-// byte-identical paths, weights and caps, which max-min gives identical
-// rates.  startFlow files each flow under a class keyed on exactly that
-// triple (the class table is reset with the union-find when the system
-// drains), and a component whose flows all share one weight is solved over
-// its classes, each with its live member count as multiplicity (see
-// maxmin.hpp for why the rates are bit-identical).  Components mixing
-// weights are solved flow by flow.  Progress, completion horizons and
-// observer callbacks stay per flow.
+// Flow classes and cohorts: ranks of one node writing to one target start
+// flows with byte-identical paths, weights and caps, which max-min gives
+// identical rates.  startFlow files each flow under a class keyed on exactly
+// that triple (the class table is reset with the union-find when the system
+// drains).  Flows of one class that also hold bit-identical remaining bytes
+// form a *cohort*: a starting flow joins a cohort of its class whose
+// remaining MiB match its size bit for bit (its members started at the same
+// instant, or have been stalled since), and opens a new one otherwise.  The
+// cohort is the unit of progress -- banking, the completion horizon and
+// settling loop over cohorts -- while a flow keeps only its identity and
+// list links and reads its path, weight, cap and rate from its class.  A
+// component whose classes share one weight is solved over a class problem
+// compiled once per class set (recompiled only when a class enters or
+// leaves or components merge), each class with its live member count as
+// multiplicity (see maxmin.hpp for why the rates are bit-identical).
+// Components mixing weights are solved flow by flow over a position view
+// built from the class paths.  Observers still get every flow's rate, in
+// component-list order.
 //
 // ε-bounded resolution (setSolverEpsilon): on top of the exact component
 // decomposition, a component whose dirtiness stems *only* from capacity
@@ -51,7 +60,9 @@
 //
 // Setting BEESIM_SOLVER_CHECK=1 (or setSolverCheck(true)) turns on a
 // differential mode that re-solves every resolve from scratch over all live
-// flows and asserts the incremental rates match to 1e-9 relative.
+// flows and asserts the incremental rates match to 1e-9 relative; it also
+// keeps a per-flow shadow of every flow's remaining bytes, updated by the
+// per-flow rule, and asserts each equals its cohort's bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -223,9 +234,9 @@ class FluidSimulator {
   std::size_t deferredResolves() const { return deferredResolves_; }
 
   /// Use the scalar reference solver walk, flow by flow, instead of the
-  /// class-aggregated SoA fast path.  Rates are bit-identical either way
-  /// (see sim/maxmin.hpp); this is the independent check on the aggregated
-  /// rates, and the baseline leg of the scale benchmark.
+  /// compiled class problems and the SoA fast path.  Rates are bit-identical
+  /// either way (see sim/maxmin.hpp); this is the independent check on the
+  /// aggregated rates, and the baseline leg of the scale benchmark.
   void setReferenceSolver(bool enabled) { referenceSolver_ = enabled; }
 
   /// Attach an observer (nullptr detaches).  A single slot with clobbering
@@ -251,9 +262,11 @@ class FluidSimulator {
   /// Enable/disable the differential solver check (also via the
   /// BEESIM_SOLVER_CHECK environment variable): every resolve additionally
   /// re-solves all live flows from scratch and asserts the incremental rates
-  /// match to 1e-9 relative, and that the incremental load accounting agrees
-  /// with an exact recount.
-  void setSolverCheck(bool enabled) { solverCheck_ = enabled; }
+  /// match to 1e-9 relative; that the incremental load accounting, class
+  /// member counts and compiled class sets agree with an exact recount; and
+  /// that every flow's cohort holds exactly the remaining bytes a per-flow
+  /// shadow, advanced by the per-flow rule, does.
+  void setSolverCheck(bool enabled);
 
   /// Run until all events *and* flows drain.  Throws ContractError if flows
   /// remain but cannot make progress (all rates zero with no future events).
@@ -308,13 +321,31 @@ class FluidSimulator {
   void markDirty(std::uint32_t root, bool structural = true);
   void listComponent(std::uint32_t root);
   void resetComponents();
+  /// Size the per-resource and per-component arrays to the registered
+  /// resources (a no-op once they match).
+  void syncResourceState();
+  /// The component a live flow belongs to (the root of its class's path).
+  std::uint32_t rootOfFlow(std::uint32_t slot) const;
 
-  /// Bank progress of one component's flows up to `t` at the current rates.
+  /// Bank progress of one component's cohorts up to `t` at the current rates.
   void advanceComponent(std::uint32_t root, SimTime t);
   /// Advance to `t` and move finished flows out of the component into
   /// drain_ (bookkeeping updated; callbacks NOT yet run).
   void settleComponent(std::uint32_t root, SimTime t);
+  /// Take a finished flow out of the system and queue its callback.
+  void finishFlow(std::uint32_t slot, std::uint32_t root, SimTime t);
+  /// Unlink a flow from its component, cohort and class bookkeeping.
+  void unlinkFlow(std::uint32_t slot, std::uint32_t root);
   void removeFlowLoad(std::uint32_t slot);
+  /// Solve one dirty component, leaving the rates in classRate_.
+  void solveComponent(std::uint32_t root);
+  /// Collect the component's live classes into subsetClasses_; returns
+  /// whether they all share one weight.
+  bool gatherClasses(std::uint32_t root);
+  /// Fill the position view (one entry per live flow, in `slots` order)
+  /// and solve it flow by flow into posRate_.
+  std::size_t solvePositions(std::span<const std::uint32_t> slots, SolverWorkspace& workspace,
+                             bool reference);
 
   void scheduleResolve();
   void resolveNow();
@@ -323,6 +354,16 @@ class FluidSimulator {
 
   std::uint32_t allocateFlowSlot();
   void freeFlowSlot(std::uint32_t slot);
+  /// A live cohort of the class holding exactly `remaining` MiB, or kNone.
+  std::uint32_t findCohort(std::uint32_t cls, double remaining) const;
+  /// Open a cohort and make it the class's newest.
+  std::uint32_t allocateCohort(std::uint32_t cls, double remaining, std::uint32_t root);
+  void releaseCohort(std::uint32_t cohort, std::uint32_t root);
+  void releaseCompiled(std::uint32_t root);
+  /// The rate a live flow currently transfers at (0 until its first solve).
+  double rateOf(std::uint32_t slot) const {
+    return flowRound_[slot] == solveRound_ ? 0.0 : classRate_[flowClass_[slot]];
+  }
   /// The class of a flow with this solver-facing path, weight and cap,
   /// created on first sight.
   std::uint32_t classOf(const std::uint32_t* path, std::uint32_t len, double weight,
@@ -344,65 +385,109 @@ class FluidSimulator {
   std::vector<std::uint32_t> loadedRes_;
 
   // --- Per-component state (indexed by union-find root resource) ---
-  std::vector<std::uint32_t> compHead_;  // intrusive flow-slot list
-  std::vector<std::uint32_t> compTail_;
-  std::vector<std::uint32_t> compFlowCount_;
-  std::vector<SimTime> compLastProgress_;
-  std::vector<SimTime> compNextCompletion_;  // absolute; +inf when unknown
-  std::vector<char> compDirty_;
-  std::vector<char> compStructural_;  // dirtiness includes a membership change
-  std::vector<double> compCapDrift_;  // Σ|Δcapacity| since the last exact solve
-  std::vector<char> compListed_;
+  struct Component {
+    std::uint32_t head = kNone;  // doubly linked flow-slot list
+    std::uint32_t tail = kNone;
+    std::uint32_t cohortHead = kNone;  // doubly linked cohort list
+    std::uint32_t cohortTail = kNone;
+    std::uint32_t flowCount = 0;
+    std::uint32_t compiled = kNone;  // pooled class problem, bound at first use
+    SimTime lastProgress = 0.0;
+    SimTime nextCompletion = std::numeric_limits<double>::infinity();  // absolute
+    double capDrift = 0.0;  // Σ|Δcapacity| since the last exact solve
+    char dirty = 0;
+    char structural = 0;      // dirtiness includes a membership change
+    char listed = 0;          // member of activeRoots_
+    char classesChanged = 0;  // a class entered or left, or a merge
+    char oneWeight = 0;       // as of the last class gather
+  };
+  std::vector<Component> comps_;
   std::vector<std::uint32_t> activeRoots_;  // lazily filtered
   std::vector<std::uint32_t> dirtyRoots_;
 
   // --- Per-flow state (slot-indexed; id 0 marks a free slot) ---
+  // A flow keeps only its identity and list links; its path, weight, cap
+  // and rate live in its class, its remaining bytes in its cohort.
   std::vector<std::uint64_t> flowId_;
-  std::vector<double> flowRemaining_;  // MiB
-  std::vector<double> flowWeight_;
-  std::vector<double> flowRateCap_;
-  std::vector<double> flowRate_;
   std::vector<SimTime> flowStart_;
   std::vector<util::Bytes> flowBytes_;
   std::vector<std::function<void(const FlowStats&)>> flowOnComplete_;
-  std::vector<std::uint32_t> flowNext_;  // next slot in the component list
-  std::vector<std::uint32_t> pathOffset_;
-  std::vector<std::uint32_t> pathLen_;
-  std::vector<std::uint32_t> pathCap_;
-  std::vector<ResourceIndex> pathArena_;       // observer-facing path storage
-  std::vector<std::uint32_t> adjacencyArena_;  // same data, solver-facing
   std::vector<std::uint32_t> flowClass_;
+  std::vector<std::uint32_t> flowCohort_;
+  std::vector<std::uint32_t> flowPrev_;  // component list
+  std::vector<std::uint32_t> flowNext_;
+  std::vector<std::uint32_t> flowCohortPrev_;  // cohort member list
+  std::vector<std::uint32_t> flowCohortNext_;
+  std::vector<std::uint64_t> flowRound_;  // solveRound_ at start
+  std::vector<double> flowShadow_;       // solver check: per-flow remaining MiB
   std::vector<std::uint32_t> freeFlowSlots_;
   IdMap idMap_;
+
+  // --- Cohorts (pooled): a class's flows holding bit-identical remaining
+  // bytes, which the shared class rate keeps identical.  Members are listed
+  // in component-list order. ---
+  // Parallel arrays rather than one struct: the progress, horizon and
+  // settle loops read only the remaining bytes, class and next link, and a
+  // struct of all fields made md_queued's resolves ~30% slower.
+  std::vector<double> cohortRemaining_;  // MiB
+  std::vector<std::uint32_t> cohortClass_;
+  std::vector<std::uint32_t> cohortHead_;  // member list
+  std::vector<std::uint32_t> cohortTail_;
+  std::vector<std::uint32_t> cohortSize_;
+  std::vector<std::uint32_t> cohortPrev_;  // component cohort list
+  std::vector<std::uint32_t> cohortNext_;
+  std::vector<char> cohortFinished_;  // settle scratch
+  std::vector<std::uint32_t> cohortOlder_;  // the class's newest when opened
+  std::vector<std::uint64_t> cohortSeq_;    // opening order
+  std::vector<std::uint32_t> freeCohorts_;
+  std::uint64_t cohortSeqNext_ = 0;
+  SimTime cohortInstant_ = std::numeric_limits<double>::quiet_NaN();  // latest start
+  std::uint64_t cohortInstantSeq_ = 0;  // first cohort opened at that instant
 
   // --- Flow classes (indexed by class id; reset when the system drains) ---
   // One entry per distinct (path, weight, cap) seen in the episode, in the
   // CSR layout SolverView consumes; classBuckets_ is an open-addressed hash
-  // index (kNone marks an empty bucket).  classCount_ is resolve scratch:
-  // the members of the class in the component being solved, 0 otherwise.
+  // index (kNone marks an empty bucket).  classLive_ counts live members,
+  // classRate_ is the rate of the last solve of the class's component, and
+  // classNewest_ the cohort it opened last (the head of the chain of its
+  // cohorts a starting member may join, see findCohort).
   std::vector<std::uint32_t> classAdjacency_;
   std::vector<std::uint32_t> classAdjOffset_;
   std::vector<std::uint32_t> classAdjLen_;
   std::vector<double> classWeight_;
   std::vector<double> classRateCap_;
   std::vector<std::uint64_t> classHash_;
-  std::vector<std::uint32_t> classCount_;
+  std::vector<std::uint32_t> classLive_;
   std::vector<double> classRate_;
+  std::vector<std::uint32_t> classNewest_;
+  std::vector<char> classMark_;  // gather scratch
   std::vector<std::uint32_t> classBuckets_;
+
+  // --- Compiled class problems, pooled and bound to a root at its first
+  // class solve ---
+  std::vector<CompiledClasses> compiled_;
+  std::vector<std::uint32_t> freeCompiled_;
 
   // --- Resolve scratch (reused; no steady-state allocations) ---
   SolverWorkspace workspace_;
-  std::vector<std::uint32_t> subsetSlots_;
+  std::vector<std::uint32_t> pathScratch_;
   std::vector<std::uint32_t> subsetClasses_;
+  std::vector<std::uint32_t> subsetSlots_;
+  // Position view: one entry per flow, read from its class.
+  std::vector<std::uint32_t> posOffset_;
+  std::vector<std::uint32_t> posLen_;
+  std::vector<double> posWeight_;
+  std::vector<double> posRateCap_;
+  std::vector<double> posRate_;
+  std::vector<std::uint32_t> positions_;  // 0, 1, 2, ...
   std::vector<FlowId> solvedIds_;
   std::vector<util::MiBps> solvedRates_;
   std::vector<DrainEntry> drain_;
   SolverWorkspace checkWorkspace_;
-  std::vector<double> checkRates_;
-  std::vector<std::uint32_t> checkSlots_;
 
   std::size_t activeCount_ = 0;
   std::uint64_t nextFlowId_ = 1;
+  std::uint64_t solveRound_ = 0;  // completed resolve passes
   bool resolvePending_ = false;
   bool pendingAllDirty_ = false;
   bool solverCheck_ = false;

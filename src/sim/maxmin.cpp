@@ -38,6 +38,10 @@ std::size_t SolverWorkspace::solveSubset(const SolverView& view,
                                          std::span<const std::uint32_t> flows,
                                          std::span<double> rates) {
   if (flows.empty()) return 0;
+  if (!view.multiplicity.empty()) {
+    compileClasses(view, flows, scratchClasses_);
+    return solveCompiled(scratchClasses_, view.capacity, view.multiplicity, rates);
+  }
   ensureResourceCapacity(view.capacity.size());
   ++stamp_;
 
@@ -48,16 +52,11 @@ std::size_t SolverWorkspace::solveSubset(const SolverView& view,
   // suffices; the stamp makes resDense_ self-clearing, so compaction cost
   // scales with the subset, not with the global resource count.  Flows
   // crossing a zero-capacity resource are dead: their rate stays 0 and they
-  // contribute no weight (documented degenerate result).  With flow
-  // classes, the compaction only counts members per resource; the active
-  // weights are read from the sequential-sum table afterwards.
-  const bool classes = !view.multiplicity.empty();
-  const double classWeight = view.weight[flows.front()];
+  // contribute no weight (documented degenerate result).
   rCapacity_.clear();
   rResidual_.clear();
   rActiveWeight_.clear();
   rActiveCount_.clear();
-  rFreezing_.clear();
   rSaturated_.clear();
   fSlot_.clear();
   fWeight_.clear();
@@ -76,9 +75,6 @@ std::size_t SolverWorkspace::solveSubset(const SolverView& view,
     const auto* adj = view.adjacency.data() + view.adjOffset[f];
     const auto len = view.adjLen[f];
     const double w = view.weight[f];
-    const std::uint32_t mult = classes ? view.multiplicity[f] : 1;
-    BEESIM_ASSERT(mult > 0, "a flow class needs at least one member");
-    BEESIM_ASSERT(!classes || w == classWeight, "flow classes of one solve must share a weight");
     fSlot_.push_back(f);
     fWeight_.push_back(w);
     fRate_.push_back(0.0);
@@ -95,7 +91,6 @@ std::size_t SolverWorkspace::solveSubset(const SolverView& view,
         rResidual_.push_back(view.capacity[r]);
         rActiveWeight_.push_back(0.0);
         rActiveCount_.push_back(0);
-        rFreezing_.push_back(0);
         rSaturated_.push_back(0);
       }
       const auto d = resDense_[r];
@@ -112,19 +107,13 @@ std::size_t SolverWorkspace::solveSubset(const SolverView& view,
     if (view.rateCap[f] > 0.0) ++capActive;
     for (std::uint32_t i = 0; i < len; ++i) {
       const auto d = denseAdj_[fAdjOffset_[j] + i];
-      if (!classes) rActiveWeight_[d] += w;
-      rActiveCount_[d] += mult;
+      rActiveWeight_[d] += w;
+      ++rActiveCount_[d];
     }
     activeList_.push_back(j);
   }
 
   const std::size_t m = rCapacity_.size();
-  if (classes) {
-    std::uint32_t maxCount = 0;
-    for (std::size_t i = 0; i < m; ++i) maxCount = std::max(maxCount, rActiveCount_[i]);
-    ensureWeightSums(classWeight, maxCount);
-    for (std::size_t i = 0; i < m; ++i) rActiveWeight_[i] = weightSums_[rActiveCount_[i]];
-  }
   const std::size_t n = fSlot_.size();
   std::size_t iterations = 0;
   while (!activeList_.empty()) {
@@ -184,10 +173,6 @@ std::size_t SolverWorkspace::solveSubset(const SolverView& view,
         ++newlyFrozen;
         for (std::uint32_t k = 0; k < fAdjLen_[j]; ++k) {
           const auto d = adj[k];
-          if (classes) {
-            rFreezing_[d] += view.multiplicity[fSlot_[j]];
-            continue;
-          }
           rActiveWeight_[d] -= fWeight_[j];
           if (--rActiveCount_[d] == 0) rActiveWeight_[d] = 0.0;
         }
@@ -203,26 +188,216 @@ std::size_t SolverWorkspace::solveSubset(const SolverView& view,
     // Progress guarantee: every iteration freezes at least one flow (delta was
     // chosen as the tightest constraint).
     BEESIM_ASSERT(newlyFrozen > 0, "progressive filling made no progress");
-    if (classes) {
-      // Release the frozen members' weight: one subtraction of w per
-      // member, as the expanded flows would do (all on a resource are the
-      // same w, so batching them per resource keeps the result), or exactly
-      // 0.0 once no member is left -- skipping the chain entirely.
-      for (std::size_t r = 0; r < m; ++r) {
-        const auto frozen = rFreezing_[r];
-        if (frozen == 0) continue;
-        rFreezing_[r] = 0;
-        rActiveCount_[r] -= frozen;
-        if (rActiveCount_[r] == 0) {
-          rActiveWeight_[r] = 0.0;
-        } else {
-          for (std::uint32_t c = 0; c < frozen; ++c) rActiveWeight_[r] -= classWeight;
-        }
-      }
-    }
   }
 
   for (std::size_t j = 0; j < n; ++j) rates[fSlot_[j]] = fRate_[j];
+  return iterations;
+}
+
+void SolverWorkspace::compileClasses(const SolverView& view,
+                                     std::span<const std::uint32_t> classes,
+                                     CompiledClasses& out) {
+  ensureResourceCapacity(view.capacity.size());
+  ++stamp_;
+  out.weight = classes.empty() ? 0.0 : view.weight[classes.front()];
+  out.slot.clear();
+  out.rateCap.clear();
+  out.adjOffset.clear();
+  out.adjLen.clear();
+  out.adjacency.clear();
+  out.resource.clear();
+  // Dense resource ids in first-touch order, as the per-flow compaction
+  // numbers them (the stamp makes resDense_ self-clearing).
+  for (const auto c : classes) {
+    BEESIM_ASSERT(view.adjLen[c] > 0, "every flow must cross >= 1 resource");
+    BEESIM_ASSERT(view.weight[c] > 0.0, "flow weight must be positive");
+    BEESIM_ASSERT(view.weight[c] == out.weight, "flow classes of one solve must share a weight");
+    const auto* adj = view.adjacency.data() + view.adjOffset[c];
+    out.slot.push_back(c);
+    out.rateCap.push_back(view.rateCap[c]);
+    out.adjOffset.push_back(static_cast<std::uint32_t>(out.adjacency.size()));
+    out.adjLen.push_back(view.adjLen[c]);
+    for (std::uint32_t i = 0; i < view.adjLen[c]; ++i) {
+      const auto r = adj[i];
+      BEESIM_ASSERT(r < view.capacity.size(), "flow references an unknown resource");
+      if (resStamp_[r] != stamp_) {
+        resStamp_[r] = stamp_;
+        resDense_[r] = static_cast<std::uint32_t>(out.resource.size());
+        out.resource.push_back(r);
+      }
+      out.adjacency.push_back(resDense_[r]);
+    }
+  }
+  // Transpose: the classes crossing each resource, so a saturation visits
+  // only the classes it freezes.  Counting sort: offsets advance while
+  // filling and are shifted back afterwards.
+  const std::size_t m = out.resource.size();
+  out.resClassOffset.assign(m + 1, 0);
+  for (const auto d : out.adjacency) ++out.resClassOffset[d + 1];
+  for (std::size_t d = 0; d < m; ++d) out.resClassOffset[d + 1] += out.resClassOffset[d];
+  out.resClasses.resize(out.adjacency.size());
+  for (std::uint32_t j = 0; j < out.slot.size(); ++j) {
+    for (std::uint32_t k = 0; k < out.adjLen[j]; ++k) {
+      out.resClasses[out.resClassOffset[out.adjacency[out.adjOffset[j] + k]]++] = j;
+    }
+  }
+  for (std::size_t d = m; d > 0; --d) out.resClassOffset[d] = out.resClassOffset[d - 1];
+  out.resClassOffset[0] = 0;
+}
+
+std::size_t SolverWorkspace::solveCompiled(const CompiledClasses& problem,
+                                           std::span<const double> capacity,
+                                           std::span<const std::uint32_t> multiplicity,
+                                           std::span<double> rates,
+                                           std::span<const std::uint32_t> resourceCount) {
+  const std::size_t n = problem.slot.size();
+  const std::size_t m = problem.resource.size();
+  if (n == 0) return 0;
+  const double w = problem.weight;
+
+  // Fresh capacities.  A class crossing a zero-capacity resource is dead:
+  // rate 0, no weight anywhere.  Without dead classes a resource's member
+  // count is the caller's per-resource count, if it keeps one.
+  bool anyZero = false;
+  rCapacity_.resize(m);
+  rResidual_.resize(m);
+  rActiveWeight_.resize(m);
+  rActiveCount_.resize(m);
+  rFreezing_.assign(m, 0);
+  freezing_.clear();
+  for (std::size_t d = 0; d < m; ++d) {
+    const double cap = capacity[problem.resource[d]];
+    rCapacity_[d] = cap;
+    rResidual_[d] = cap;
+    if (cap <= 0.0) anyZero = true;
+  }
+  const bool countClasses = anyZero || resourceCount.empty();
+  for (std::size_t d = 0; d < m; ++d) {
+    rActiveCount_[d] = countClasses ? 0 : resourceCount[problem.resource[d]];
+  }
+  fRate_.assign(n, 0.0);
+  fActiveW_.resize(n);
+  fCapOrInf_.resize(n);
+  fMult_.resize(n);
+  cappedList_.clear();
+  std::size_t active = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const auto mult = multiplicity[problem.slot[j]];
+    BEESIM_ASSERT(mult > 0, "a flow class needs at least one member");
+    fMult_[j] = mult;
+    const auto* adj = problem.adjacency.data() + problem.adjOffset[j];
+    bool dead = false;
+    if (anyZero) {
+      for (std::uint32_t k = 0; k < problem.adjLen[j]; ++k) {
+        if (rCapacity_[adj[k]] <= 0.0) dead = true;
+      }
+    }
+    if (dead) {
+      fActiveW_[j] = 0.0;
+      fCapOrInf_[j] = kInf;
+      continue;
+    }
+    ++active;
+    fActiveW_[j] = w;
+    const double cap = problem.rateCap[j];
+    fCapOrInf_[j] = cap > 0.0 ? cap : kInf;
+    if (cap > 0.0) cappedList_.push_back(static_cast<std::uint32_t>(j));
+    if (countClasses) {
+      for (std::uint32_t k = 0; k < problem.adjLen[j]; ++k) rActiveCount_[adj[k]] += mult;
+    }
+  }
+  // Active weights from the sequential-sum table (header comment).
+  std::uint32_t maxCount = 0;
+  for (std::size_t d = 0; d < m; ++d) maxCount = std::max(maxCount, rActiveCount_[d]);
+  ensureWeightSums(w, maxCount);
+  for (std::size_t d = 0; d < m; ++d) rActiveWeight_[d] = weightSums_[rActiveCount_[d]];
+
+  std::size_t newlyFrozen = 0;
+  const auto freeze = [&](std::uint32_t j) {
+    ++newlyFrozen;
+    --active;
+    const auto* adj = problem.adjacency.data() + problem.adjOffset[j];
+    for (std::uint32_t k = 0; k < problem.adjLen[j]; ++k) {
+      if (rFreezing_[adj[k]] == 0) freezing_.push_back(adj[k]);
+      rFreezing_[adj[k]] += fMult_[j];
+    }
+    fActiveW_[j] = 0.0;
+    fCapOrInf_[j] = kInf;
+  };
+
+  std::size_t iterations = 0;
+  while (active > 0) {
+    ++iterations;
+
+    // Same delta, increment and saturation arithmetic as the per-flow
+    // solve (see solveSubset); frozen and uncapped classes contribute +inf
+    // to the cap scan, so it only visits filling capped classes.
+    double delta = kInf;
+    for (std::size_t d = 0; d < m; ++d) {
+      const double aw = rActiveWeight_[d];
+      const double c = aw > 0.0 ? rResidual_[d] / aw : kInf;
+      if (c < delta) delta = c;
+    }
+    for (const auto j : cappedList_) {
+      const double c = (fCapOrInf_[j] - fRate_[j]) / w;
+      if (c < delta) delta = c;
+    }
+    BEESIM_ASSERT(delta < kInf, "progressive filling found no bottleneck");
+    delta = std::max(delta, 0.0);
+
+    for (std::size_t j = 0; j < n; ++j) fRate_[j] += delta * fActiveW_[j];
+    for (std::size_t d = 0; d < m; ++d) rResidual_[d] -= delta * rActiveWeight_[d];
+
+    // A resource saturates at most once: every class crossing it freezes in
+    // the same iteration, which drops its active weight to exactly 0.0.  So
+    // visiting the classes of the newly saturated resources freezes exactly
+    // the classes the per-flow scan over saturation flags would.
+    saturating_.clear();
+    for (std::size_t d = 0; d < m; ++d) {
+      if (rActiveWeight_[d] > 0.0 &&
+          rResidual_[d] <= kEps * std::max(1.0, rCapacity_[d])) {
+        rResidual_[d] = std::max(rResidual_[d], 0.0);
+        saturating_.push_back(static_cast<std::uint32_t>(d));
+      }
+    }
+    newlyFrozen = 0;
+    for (const auto d : saturating_) {
+      for (auto k = problem.resClassOffset[d]; k < problem.resClassOffset[d + 1]; ++k) {
+        const auto j = problem.resClasses[k];
+        if (fActiveW_[j] > 0.0) freeze(j);
+      }
+    }
+    for (std::size_t i = 0; i < cappedList_.size();) {
+      const auto j = cappedList_[i];
+      const double cap = fCapOrInf_[j];
+      if (cap < kInf && fRate_[j] >= cap - kEps * std::max(1.0, cap)) freeze(j);
+      if (fActiveW_[j] == 0.0) {
+        cappedList_[i] = cappedList_.back();
+        cappedList_.pop_back();
+      } else {
+        ++i;
+      }
+    }
+    BEESIM_ASSERT(newlyFrozen > 0, "progressive filling made no progress");
+
+    // Release the frozen members' weight: one subtraction of w per member,
+    // as the expanded flows would do (all on a resource are the same w, so
+    // batching them per resource keeps the result), or exactly 0.0 once no
+    // member is left -- skipping the chain entirely.
+    for (const auto d : freezing_) {
+      const auto frozen = rFreezing_[d];
+      rFreezing_[d] = 0;
+      rActiveCount_[d] -= frozen;
+      if (rActiveCount_[d] == 0) {
+        rActiveWeight_[d] = 0.0;
+      } else {
+        for (std::uint32_t c = 0; c < frozen; ++c) rActiveWeight_[d] -= w;
+      }
+    }
+    freezing_.clear();
+  }
+
+  for (std::size_t j = 0; j < n; ++j) rates[problem.slot[j]] = fRate_[j];
   return iterations;
 }
 

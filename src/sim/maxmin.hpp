@@ -39,18 +39,28 @@
 //
 // Flow classes: flows with byte-identical (path, weight, cap) -- ranks of one
 // node writing to one target -- receive identical max-min rates, so a caller
-// may name one *class* slot per group and give its member count in
-// SolverView::multiplicity.  The rates are bit-identical to solving the
-// expanded flows one by one, provided every class in the subset shares one
-// weight w: a resource's active weight is then the sequential sum of its K
-// crossing members' copies of w, read from a table S[k] = S[k-1] + w (the
-// exact additions the per-flow compaction performs); a freezing class
-// subtracts w once per member, or resets the weight to exactly 0.0 when the
-// member count reaches 0; and every rate increment, delta candidate and
-// freeze test of a class is the same operation on the same values as for
-// each of its members, so even the iteration count is unchanged.  With
-// mixed weights the order of the per-flow additions matters, so callers
-// solve such subsets flow by flow.
+// may name one *class* slot per group and give its member count as a
+// multiplicity.  The rates are bit-identical to solving the expanded flows
+// one by one, provided every class in the subset shares one weight w: a
+// resource's active weight is then the sequential sum of its K crossing
+// members' copies of w, read from a table S[k] = S[k-1] + w (the exact
+// additions the per-flow compaction performs); a freezing class subtracts w
+// once per member, or resets the weight to exactly 0.0 when the member count
+// reaches 0; and every rate increment, delta candidate and freeze test of a
+// class is the same operation on the same values as for each of its members,
+// so even the iteration count is unchanged.  With mixed weights the order of
+// the per-flow additions matters, so callers solve such subsets flow by flow.
+//
+// A class problem is solved in two steps.  compileClasses does everything
+// that depends only on the class set -- the dense renumbering of resources,
+// the per-class adjacency and its resource->class transpose -- and
+// solveCompiled reads the current capacities and member counts and fills.
+// A caller whose class set is stable (the fluid simulator's components
+// between class arrivals and departures) compiles once and re-solves the
+// compiled problem at every capacity or count change.  At one weight the
+// solve does not depend on the order of the classes, so a compiled problem
+// keeps its own.  SolverWorkspace::solveSubset with SolverView::multiplicity
+// is compile + solve.
 //
 // Degenerate inputs are well-defined:
 //   * a flow crossing a zero-capacity resource receives rate 0 (it never
@@ -110,6 +120,25 @@ struct SolverView {
   std::span<const std::uint32_t> multiplicity = {};
 };
 
+/// A class problem compiled by SolverWorkspace::compileClasses: the part of
+/// the solve that depends only on which classes take part.  Vectors keep
+/// their capacity across recompiles, so a pooled instance stops allocating
+/// once it has seen its largest class set.
+struct CompiledClasses {
+  /// The weight every class shares.
+  double weight = 0.0;
+  // Per class, in compiled order.
+  std::vector<std::uint32_t> slot;       // the caller's class slot
+  std::vector<double> rateCap;           // <= 0: uncapped
+  std::vector<std::uint32_t> adjOffset;  // into adjacency
+  std::vector<std::uint32_t> adjLen;
+  std::vector<std::uint32_t> adjacency;  // dense resource ids
+  // Per dense resource.
+  std::vector<std::uint32_t> resource;        // global resource index
+  std::vector<std::uint32_t> resClassOffset;  // size + 1 entries, into resClasses
+  std::vector<std::uint32_t> resClasses;      // classes crossing the resource
+};
+
 /// Reusable scratch state for progressive filling.  One workspace may be
 /// used for any number of solves over problems of any size; internal arrays
 /// grow monotonically and are reused, so repeated solves of a stable-sized
@@ -126,9 +155,28 @@ class SolverWorkspace {
   /// slots must share one weight; each slot's rate is then the rate every
   /// one of its multiplicity[f] member flows receives from
   /// solveSubsetReference over the expanded flows, bit for bit, in the same
-  /// number of iterations.
+  /// number of iterations (compileClasses + solveCompiled).
   std::size_t solveSubset(const SolverView& view, std::span<const std::uint32_t> flows,
                           std::span<double> rates);
+
+  /// Compiles the class problem of `classes` (slots of the view, all of one
+  /// weight, each listed once) into `out`.  Only the view's adjacency,
+  /// weight and rate caps are read; capacities and multiplicities are read
+  /// by each solveCompiled.
+  void compileClasses(const SolverView& view, std::span<const std::uint32_t> classes,
+                      CompiledClasses& out);
+
+  /// Fills a compiled class problem under the current `capacity` (per global
+  /// resource) and `multiplicity` (per class slot, each > 0), writing
+  /// `rates[slot]` for every compiled class; returns the iteration count.
+  /// Optional `resourceCount[r]`: the total multiplicity of the classes
+  /// crossing r.  When given and no resource of the problem is at zero
+  /// capacity (so no class is dead), the solve reads the per-resource
+  /// counts from it instead of accumulating them class by class.
+  std::size_t solveCompiled(const CompiledClasses& problem, std::span<const double> capacity,
+                            std::span<const std::uint32_t> multiplicity,
+                            std::span<double> rates,
+                            std::span<const std::uint32_t> resourceCount = {});
 
   /// The pre-SoA scalar implementation (gather/scatter through the CSR view
   /// per iteration).  Kept as the reference for differential tests pinning
@@ -157,7 +205,7 @@ class SolverWorkspace {
   std::vector<std::uint32_t> touchedRes_;
   std::vector<std::uint32_t> activeFlows_;
 
-  // --- Dense SoA state (solveSubset fast path; reused capacity) ---------
+  // --- Dense SoA state (solveSubset / solveCompiled; reused capacity) ----
   // Global resource index -> dense id, valid when resStamp_ == stamp_.
   std::vector<std::uint32_t> resDense_;
   // Per dense resource.
@@ -167,11 +215,13 @@ class SolverWorkspace {
   std::vector<std::uint32_t> rActiveCount_;
   std::vector<std::uint32_t> rFreezing_;  // class members frozen this iteration
   std::vector<char> rSaturated_;
-  // Per dense flow.  fActiveW holds the weight while the flow is filling and
-  // exactly 0.0 once frozen (so the increment loop is branch-free); fCapOrInf
-  // holds the rate cap while the flow is filling *and* capped, +inf
-  // otherwise (so the cap scan is branch-free and frozen flows never
-  // re-tighten delta).
+  std::vector<std::uint32_t> saturating_;  // resources saturated this iteration
+  std::vector<std::uint32_t> freezing_;    // resources with rFreezing_ > 0
+  // Per dense flow (or compiled class).  fActiveW holds the weight while the
+  // flow is filling and exactly 0.0 once frozen (so the increment loop is
+  // branch-free); fCapOrInf holds the rate cap while the flow is filling
+  // *and* capped, +inf otherwise (so the cap scan is branch-free and frozen
+  // flows never re-tighten delta).
   std::vector<std::uint32_t> fSlot_;
   std::vector<double> fWeight_;
   std::vector<double> fActiveW_;
@@ -180,9 +230,12 @@ class SolverWorkspace {
   std::vector<std::uint32_t> fAdjOffset_;
   std::vector<std::uint32_t> fAdjLen_;
   std::vector<std::uint32_t> denseAdj_;
-  std::vector<std::uint32_t> activeList_;
+  std::vector<std::uint32_t> activeList_;  // per-flow solve: filling flows
+  std::vector<std::uint32_t> cappedList_;  // class solve: filling capped classes
+  std::vector<std::uint32_t> fMult_;
   std::vector<double> weightSums_;
   double weightSumsOf_ = 0.0;
+  CompiledClasses scratchClasses_;  // solveSubset's class problem
 };
 
 /// Computes the max-min fair allocation.

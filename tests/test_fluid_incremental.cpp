@@ -8,6 +8,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <set>
 #include <string>
@@ -416,16 +417,188 @@ TEST(FluidIncremental, FlowClassesMatchPerFlowReferenceBitwise) {
   }
 }
 
+TEST(FluidIncremental, CohortsCompleteOnScheduleInListOrder) {
+  // Cohort bookkeeping under the differential check (every resolve compares
+  // each flow's cohort against a per-flow shadow of its remaining bytes and
+  // recounts class members and compiled class sets).  Six disjoint
+  // components, each finishing at its own instants:
+  //   X  four equal flows started together, two more staggered after 1 s
+  //      (a second cohort), one member of the first cohort cancelled;
+  //   Y  a flow stalled at zero capacity that a later equal-size flow joins;
+  //   Z  a flow joining a running cohort at the same instant (it reports
+  //      rate 0 until its +0 resolve);
+  //   PQ two components merged by a flow crossing both;
+  //   M  one mixed-weight group, solved flow by flow;
+  //   A  two sizes alternating at one instant on one path (two cohorts,
+  //      each joined past the other).
+  FluidSimulator fluid;
+  fluid.setSolverCheck(true);
+  const auto x = addLink(fluid, "x", 120.0);
+  bool yDown = true;
+  const auto y = fluid.addResource(ResourceSpec{
+      "y", [&yDown](const ResourceLoad&) { return yDown ? 0.0 : 100.0; }});
+  const auto z = addLink(fluid, "z", 100.0);
+  const auto pLink = addLink(fluid, "p", 100.0);
+  const auto qLink = addLink(fluid, "q", 100.0);
+  const auto mLink = addLink(fluid, "m", 100.0);
+  const auto aLink = addLink(fluid, "a", 120.0);
+
+  std::vector<std::pair<std::string, SimTime>> completions;
+  std::vector<FlowId> ids;
+  const auto start = [&](const std::string& name, std::vector<ResourceIndex> path,
+                         util::Bytes bytes, double weight = 1.0) {
+    ids.push_back(fluid.startFlow(FlowSpec{
+        .path = std::move(path),
+        .bytes = bytes,
+        .queueWeight = weight,
+        .rateCap = 0.0,
+        .onComplete = [&completions, name](const FlowStats& stats) {
+          completions.emplace_back(name, stats.endTime);
+        }}));
+    return ids.back();
+  };
+
+  FlowId f2{};
+  FlowId k1{};
+  fluid.engine().schedule(0.0, [&] {
+    start("f1", {x}, 60_MiB);
+    f2 = start("f2", {x}, 60_MiB);
+    start("f3", {x}, 60_MiB);
+    start("f4", {x}, 60_MiB);
+    start("h1", {y}, 50_MiB);
+    k1 = start("k1", {z}, 60_MiB);
+    start("m1", {pLink}, 100_MiB);
+    start("m2", {qLink}, 100_MiB);
+    // w2 and w3 form one cohort; w1 sits between them in the list.
+    start("w2", {mLink}, 40_MiB, 2.0);
+    start("w1", {mLink}, 20_MiB, 1.0);
+    start("w3", {mLink}, 40_MiB, 2.0);
+    start("a1", {aLink}, 30_MiB);
+    start("a2", {aLink}, 20_MiB);
+    start("a3", {aLink}, 30_MiB);
+    start("a4", {aLink}, 20_MiB);
+    // Runs after the +0 resolve the starts above queued.
+    fluid.engine().scheduleAfter(0.0, [&] {
+      EXPECT_DOUBLE_EQ(fluid.flowRate(k1), 100.0);
+      const auto k2 = start("k2", {z}, 60_MiB);
+      EXPECT_EQ(fluid.flowRate(k2), 0.0) << "a joining flow has no rate before its solve";
+      EXPECT_DOUBLE_EQ(fluid.flowRate(k1), 100.0);
+      fluid.engine().scheduleAfter(0.0, [&fluid, k1, k2] {
+        EXPECT_DOUBLE_EQ(fluid.flowRate(k1), 50.0);
+        EXPECT_DOUBLE_EQ(fluid.flowRate(k2), 50.0);
+      });
+    });
+  });
+  fluid.engine().schedule(0.5, [&] {
+    const auto h2 = start("h2", {y}, 50_MiB);
+    start("m3", {pLink, qLink}, 50_MiB);
+    EXPECT_EQ(fluid.flowRate(h2), 0.0);
+  });
+  fluid.engine().schedule(1.0, [&] {
+    start("g1", {x}, 60_MiB);
+    start("g2", {x}, 60_MiB);
+    yDown = false;
+    fluid.invalidateCapacities();
+  });
+  fluid.engine().schedule(1.5, [&] {
+    // f's cohort has 60 - 30 - 10 MiB left.
+    const auto left = fluid.cancelFlow(f2);
+    ASSERT_TRUE(left.has_value());
+    EXPECT_EQ(*left, 20_MiB);
+  });
+  fluid.run();
+
+  // X: 30 MiB/s each until 1 s, 20 until 1.5 s, then 24: f1/f3/f4 finish
+  // 20 MiB later, and g1/g2 their last 30 MiB at 60 MiB/s.  Y: 50 MiB/s
+  // each from 1 s.  Z: 50 each.  PQ: all three hold 50 MiB at 0.5 s and get
+  // 50 MiB/s.  M: weights 1:2:2 on 100 MiB/s.  A: 30 MiB/s each, then
+  // 60 for the last 10 MiB of a1/a3.
+  const std::vector<std::pair<std::string, SimTime>> expected{
+      {"a2", 2.0 / 3.0},                  {"a4", 2.0 / 3.0},
+      {"a1", 2.0 / 3.0 + 1.0 / 6.0},      {"a3", 2.0 / 3.0 + 1.0 / 6.0},
+      {"w2", 1.0},      {"w1", 1.0},      {"w3", 1.0},      {"k1", 1.2},
+      {"k2", 1.2},      {"m1", 1.5},      {"m2", 1.5},      {"m3", 1.5},
+      {"h1", 2.0},      {"h2", 2.0},      {"f1", 1.5 + 20.0 / 24.0},
+      {"f3", 1.5 + 20.0 / 24.0},          {"f4", 1.5 + 20.0 / 24.0},
+      {"g1", 2.0 + 5.0 / 6.0},            {"g2", 2.0 + 5.0 / 6.0}};
+  ASSERT_EQ(completions.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(completions[i].first, expected[i].first) << "completion #" << i;
+    EXPECT_NEAR(completions[i].second, expected[i].second, 1e-9) << expected[i].first;
+  }
+  EXPECT_EQ(fluid.activeFlows(), 0u);
+}
+
+/// Flow churn on a fixed schedule that allocates nothing once set up: every
+/// `period` seconds it cancels one member of the previous batch, if still
+/// live, and starts `batchSize` equal flows on the next of its paths (one
+/// cohort per batch).  A path's class leaves its component when its batch
+/// drains and re-enters with the next batch on it, so components recompile.
+/// All specs are built up front, and each batch schedules the next with a
+/// capture of a pointer and an index, which fits std::function's inline
+/// storage.
+class ChurnDriver {
+ public:
+  ChurnDriver(FluidSimulator& fluid, std::vector<std::vector<ResourceIndex>> paths,
+              std::vector<double> weights, util::Bytes bytes, std::size_t batchSize,
+              SimTime period, SimTime until)
+      : fluid_(fluid), batchSize_(batchSize), period_(period) {
+    const auto batches = static_cast<std::size_t>(until / period);
+    for (std::size_t k = 0; k < batches; ++k) {
+      const auto p = k % paths.size();
+      for (std::size_t i = 0; i < batchSize; ++i) {
+        specs_.push_back(FlowSpec{.path = paths[p],
+                                  .bytes = bytes,
+                                  .queueWeight = weights[p],
+                                  .rateCap = 0.0,
+                                  .onComplete = [this](const FlowStats&) { ++completed; }});
+      }
+    }
+    started_.reserve(specs_.size());
+    fluid.engine().schedule(period, [this] { runBatch(0); });
+  }
+
+  std::size_t live() const {
+    std::size_t n = 0;
+    for (const auto id : started_) n += fluid_.flowActive(id) ? 1 : 0;
+    return n;
+  }
+
+  std::size_t completed = 0;
+  std::size_t cancelled = 0;
+
+ private:
+  void runBatch(std::size_t k) {
+    if (k > 0 && fluid_.cancelFlow(started_[(k - 1) * batchSize_])) ++cancelled;
+    for (std::size_t i = 0; i < batchSize_; ++i) {
+      started_.push_back(fluid_.startFlow(std::move(specs_[k * batchSize_ + i])));
+    }
+    // One pending event at a time, so the engine's event pool stays warm.
+    if ((k + 2) * batchSize_ <= specs_.size()) {
+      fluid_.engine().scheduleAfter(period_, [this, k] { runBatch(k + 1); });
+    }
+  }
+
+  FluidSimulator& fluid_;
+  std::size_t batchSize_;
+  SimTime period_;
+  std::vector<FlowSpec> specs_;
+  std::vector<FlowId> started_;
+};
+
 TEST(FluidIncremental, SteadyStateResolveIsAllocationFree) {
   // The acceptance bar for the incremental resolver: once warmed up, the
   // periodic resolve path (advance -> capacity evaluation -> component solve
   // -> wakeup rescheduling) performs zero heap allocations.  Time-varying
   // capacities keep every component dirty, so the solver genuinely runs in
-  // the measured window.  Checked with mixed weights (per-flow solves) and
-  // with ppn = 4 ranks per path at one weight per component (class solves,
-  // so the class table and per-class scratch are covered too; the two
-  // components' weights differ, so the weight-sum table is rebuilt each
-  // resolve).
+  // the measured window.  Churn runs through the window too: batches of
+  // equal flows start (cohorts), complete and get cancelled, and their
+  // classes enter and leave the components (recompiles), so the cohort
+  // pool, the compiled problems and the position views are covered.
+  // Checked with mixed weights (per-flow solves) and with ppn = 4 ranks per
+  // path at one weight per component (class solves, so the class table and
+  // per-class scratch are covered too; the two components' weights differ,
+  // so the weight-sum table is rebuilt each resolve).
   for (const bool ranksShareWeight : {false, true}) {
     FluidSimulator fluid;
     fluid.setSolverCheck(false);  // the differential check allocates by design
@@ -456,9 +629,18 @@ TEST(FluidIncremental, SteadyStateResolveIsAllocationFree) {
           .rateCap = 0.0,
           .onComplete = nullptr});
     }
+    // Churn in both components, on paths of their own (classes that come
+    // and go) at the component's weight.
+    ChurnDriver churn(fluid,
+                      {{links[1], links[2]}, {links[4], links[5]}, {links[0], links[1]}},
+                      {ranksShareWeight ? 0.93 / 3.0 : 2.0, ranksShareWeight ? 1.5 : 2.0,
+                       ranksShareWeight ? 0.93 / 3.0 : 3.0},
+                      2_MiB, 3, 0.07, 3.0);
     fluid.engine().runUntil(1.0);  // warm up scratch arrays and event slots
     const auto resolvesBefore = fluid.resolveCount();
     const auto iterationsBefore = fluid.solverIterations();
+    const auto completedBefore = churn.completed;
+    const auto cancelledBefore = churn.cancelled;
     {
       AllocProbe probe;
       fluid.engine().runUntil(2.0);
@@ -468,7 +650,9 @@ TEST(FluidIncremental, SteadyStateResolveIsAllocationFree) {
     EXPECT_GE(fluid.resolveCount(), resolvesBefore + 15);
     EXPECT_GT(fluid.solverIterations(), iterationsBefore)
         << "the solver must actually run in the measured window";
-    EXPECT_EQ(fluid.activeFlows(), 16u);
+    EXPECT_GT(churn.completed, completedBefore + 10) << "churn must complete flows";
+    EXPECT_GT(churn.cancelled, cancelledBefore + 3) << "churn must cancel flows";
+    EXPECT_EQ(fluid.activeFlows(), 16u + churn.live());
   }
 }
 
@@ -480,7 +664,9 @@ TEST(FluidIncremental, ClusterScaleResolveIsAllocationFree) {
   // tick) and the ε-bounded path (deferral bookkeeping must be free too),
   // each with random per-flow weights (per-flow solves) and with ppn > 1:
   // every app's flows come from 12 node paths at one weight, so the solves
-  // run over flow classes of ~8 ranks each.
+  // run over flow classes of ~8 ranks each.  A tenth of the apps also see
+  // churn: cohorts starting, completing and being cancelled, and classes
+  // entering and leaving their components.
   for (const auto& [epsilon, ranksShareWeight] :
        {std::pair{0.0, false}, std::pair{25.0, false}, std::pair{0.0, true},
         std::pair{25.0, true}}) {
@@ -522,18 +708,41 @@ TEST(FluidIncremental, ClusterScaleResolveIsAllocationFree) {
         fluid.startFlow(std::move(spec));
       }
     }
+    std::vector<std::unique_ptr<ChurnDriver>> churn;
+    for (std::size_t a = 0; a < kApps; a += 10) {
+      const auto l = [&](std::size_t r) { return links[a * kResPerApp + r]; };
+      churn.push_back(std::make_unique<ChurnDriver>(
+          fluid, std::vector<std::vector<ResourceIndex>>{{l(0), l(1)}, {l(2), l(3)}},
+          std::vector<double>{1.0, 1.0}, 2_MiB, 4, 0.07, 2.0));
+    }
     RingTraceSink ring(fluid, 1u << 16);
-    fluid.engine().runUntil(0.5);  // warm up pools, scratch and observer runs
+    fluid.engine().runUntil(1.0);  // warm up pools, scratch and observer runs
     const auto resolvesBefore = fluid.resolveCount();
+    std::size_t completedBefore = 0;
+    std::size_t cancelledBefore = 0;
+    for (const auto& c : churn) {
+      completedBefore += c->completed;
+      cancelledBefore += c->cancelled;
+    }
     {
       AllocProbe probe;
-      fluid.engine().runUntil(1.0);
+      fluid.engine().runUntil(1.5);
       EXPECT_EQ(probe.count(), 0u)
           << "cluster-scale steady-state resolves must not allocate (epsilon="
           << epsilon << ", ranks " << (ranksShareWeight ? "share" : "mix") << " weights)";
     }
+    std::size_t completed = 0;
+    std::size_t cancelled = 0;
+    std::size_t live = 0;
+    for (const auto& c : churn) {
+      completed += c->completed;
+      cancelled += c->cancelled;
+      live += c->live();
+    }
+    EXPECT_GT(completed, completedBefore + 50) << "churn must complete flows";
+    EXPECT_GT(cancelled, cancelledBefore + 30) << "churn must cancel flows";
     EXPECT_GE(fluid.resolveCount(), resolvesBefore + 9);
-    EXPECT_EQ(fluid.activeFlows(), kApps * kFlowsPerApp);
+    EXPECT_EQ(fluid.activeFlows(), kApps * kFlowsPerApp + live);
     EXPECT_GT(ring.recorded(), 0u);
     if (epsilon > 0.0) {
       EXPECT_GT(fluid.deferredResolves(), 0u)

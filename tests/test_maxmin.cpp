@@ -6,6 +6,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -375,6 +377,8 @@ struct ClassProblem {
   }
 };
 
+void expandClasses(ClassProblem& p, util::Rng& rng);
+
 ClassProblem randomClassProblem(std::uint64_t seed) {
   util::Rng rng(seed);
   ClassProblem p;
@@ -407,7 +411,16 @@ ClassProblem randomClassProblem(std::uint64_t seed) {
     p.classes.subset.push_back(static_cast<std::uint32_t>(c));
     p.multiplicity.push_back(static_cast<std::uint32_t>(rng.uniformInt(1, 9)));
   }
-  for (std::size_t c = 0; c < nClasses; ++c) {
+  expandClasses(p, rng);
+  return p;
+}
+
+/// (Re)builds p.expanded and p.classOfFlow from p.classes and
+/// p.multiplicity.
+void expandClasses(ClassProblem& p, util::Rng& rng) {
+  p.classOfFlow.clear();
+  p.expanded = CsrProblem{};
+  for (std::size_t c = 0; c < p.multiplicity.size(); ++c) {
     for (std::uint32_t k = 0; k < p.multiplicity[c]; ++k) {
       p.classOfFlow.push_back(static_cast<std::uint32_t>(c));
     }
@@ -424,7 +437,6 @@ ClassProblem randomClassProblem(std::uint64_t seed) {
     p.expanded.rateCap.push_back(p.classes.rateCap[c]);
     p.expanded.subset.push_back(static_cast<std::uint32_t>(f));
   }
-  return p;
 }
 
 TEST(SolverSoA, ClassSolveMatchesExpandedReferenceBitwise) {
@@ -453,6 +465,69 @@ TEST(SolverSoA, ClassSolveMatchesExpandedReferenceBitwise) {
     if (p.classOfFlow.size() > p.multiplicity.size()) ++aggregated;
   }
   EXPECT_GT(aggregated, 90u) << "most instances must actually aggregate flows";
+}
+
+TEST(SolverSoA, CompiledClassesResolveMatchesExpandedReferenceBitwise) {
+  // One compiled class problem re-solved under fresh capacities and member
+  // counts -- what a fluid component does between class arrivals and
+  // departures -- must give every class exactly the reference rate of each
+  // of its expanded members, in the same number of iterations.  This holds
+  // whether the solve counts members per resource itself or reads the
+  // caller's per-resource counts, and for a compiled class order that
+  // differs from the order the classes are numbered in.
+  std::size_t deadRounds = 0;
+  std::size_t countedRounds = 0;
+  for (std::uint64_t seed = 1100; seed < 1140; ++seed) {
+    auto p = randomClassProblem(seed);
+    util::Rng rng(seed * 7 + 1);
+    std::vector<std::uint32_t> order = p.classes.subset;
+    rng.shuffle(order);
+    SolverWorkspace workspace;
+    SolverWorkspace reference;
+    CompiledClasses compiled;
+    workspace.compileClasses(p.classes.view(), order, compiled);
+    for (int round = 0; round < 12; ++round) {
+      if (round > 0) {
+        for (auto& cap : p.classes.capacity) {
+          cap = rng.bernoulli(0.15) ? 0.0 : rng.uniform(10.0, 1000.0);
+        }
+        for (auto& mult : p.multiplicity) {
+          mult = static_cast<std::uint32_t>(rng.uniformInt(1, 9));
+        }
+        expandClasses(p, rng);
+      }
+      std::vector<std::uint32_t> resourceCount(p.classes.capacity.size(), 0);
+      for (std::size_t c = 0; c < p.multiplicity.size(); ++c) {
+        for (std::uint32_t k = 0; k < p.classes.adjLen[c]; ++k) {
+          resourceCount[p.classes.adjacency[p.classes.adjOffset[c] + k]] += p.multiplicity[c];
+        }
+      }
+      const bool anyDead = std::find(p.classes.capacity.begin(), p.classes.capacity.end(),
+                                     0.0) != p.classes.capacity.end();
+      deadRounds += anyDead ? 1 : 0;
+      countedRounds += anyDead ? 0 : 1;
+
+      std::vector<double> flowRates(p.classOfFlow.size(), -1.0);
+      const auto refIters =
+          reference.solveSubsetReference(p.expanded.view(), p.expanded.subset, flowRates);
+      for (const bool withCounts : {false, true}) {
+        std::vector<double> classRates(p.multiplicity.size(), -1.0);
+        const auto iters = workspace.solveCompiled(
+            compiled, p.classes.capacity, p.multiplicity, classRates,
+            withCounts ? std::span<const std::uint32_t>(resourceCount)
+                       : std::span<const std::uint32_t>());
+        EXPECT_EQ(iters, refIters) << "seed " << seed << " round " << round;
+        for (std::size_t f = 0; f < flowRates.size(); ++f) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(classRates[p.classOfFlow[f]]),
+                    std::bit_cast<std::uint64_t>(flowRates[f]))
+              << "seed " << seed << " round " << round << " flow " << f
+              << (withCounts ? " (caller's counts)" : " (own counts)");
+        }
+      }
+    }
+  }
+  EXPECT_GT(deadRounds, 50u) << "zero capacities must kill classes in many rounds";
+  EXPECT_GT(countedRounds, 50u) << "the caller's counts must be read in many rounds";
 }
 
 TEST(SolverSoA, ClassSolveWithUnitMultiplicityIsThePerFlowSolve) {
