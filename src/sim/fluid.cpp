@@ -24,84 +24,6 @@ CapacityFn constantCapacity(util::MiBps capacity) {
   return [capacity](const ResourceLoad&) { return capacity; };
 }
 
-// --- IdMap -------------------------------------------------------------
-
-std::size_t FluidSimulator::IdMap::bucketOf(std::uint64_t key, std::size_t mask) {
-  // splitmix64 finalizer: flow ids are sequential, so they need scrambling
-  // before masking or every id would probe the same run of buckets.
-  std::uint64_t x = key;
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ull;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  return static_cast<std::size_t>(x) & mask;
-}
-
-void FluidSimulator::IdMap::grow() {
-  const std::size_t newSize = keys_.empty() ? 16 : keys_.size() * 2;
-  std::vector<std::uint64_t> oldKeys = std::move(keys_);
-  std::vector<std::uint32_t> oldSlots = std::move(slots_);
-  keys_.assign(newSize, 0);
-  slots_.assign(newSize, 0);
-  const std::size_t mask = newSize - 1;
-  for (std::size_t i = 0; i < oldKeys.size(); ++i) {
-    if (oldKeys[i] == 0) continue;
-    std::size_t b = bucketOf(oldKeys[i], mask);
-    while (keys_[b] != 0) b = (b + 1) & mask;
-    keys_[b] = oldKeys[i];
-    slots_[b] = oldSlots[i];
-  }
-}
-
-void FluidSimulator::IdMap::insert(std::uint64_t key, std::uint32_t slot) {
-  // Keep the load factor under 0.7 so probe runs stay short; a stable flow
-  // population reuses the table with no rehashing (and no allocation).
-  if (keys_.empty() || (size_ + 1) * 10 > keys_.size() * 7) grow();
-  const std::size_t mask = keys_.size() - 1;
-  std::size_t b = bucketOf(key, mask);
-  while (keys_[b] != 0) b = (b + 1) & mask;
-  keys_[b] = key;
-  slots_[b] = slot;
-  ++size_;
-}
-
-std::uint32_t FluidSimulator::IdMap::find(std::uint64_t key) const {
-  if (keys_.empty()) return kNone;
-  const std::size_t mask = keys_.size() - 1;
-  std::size_t b = bucketOf(key, mask);
-  while (keys_[b] != 0) {
-    if (keys_[b] == key) return slots_[b];
-    b = (b + 1) & mask;
-  }
-  return kNone;
-}
-
-void FluidSimulator::IdMap::erase(std::uint64_t key) {
-  if (keys_.empty()) return;
-  const std::size_t mask = keys_.size() - 1;
-  std::size_t b = bucketOf(key, mask);
-  while (keys_[b] != 0 && keys_[b] != key) b = (b + 1) & mask;
-  if (keys_[b] == 0) return;
-  // Backward-shift deletion: pull later entries of the probe run into the
-  // hole so lookups never need tombstones.
-  std::size_t hole = b;
-  std::size_t j = b;
-  while (true) {
-    j = (j + 1) & mask;
-    if (keys_[j] == 0) break;
-    const std::size_t home = bucketOf(keys_[j], mask);
-    const bool reachable = hole <= j ? (home <= hole || home > j) : (home <= hole && home > j);
-    if (reachable) {
-      keys_[hole] = keys_[j];
-      slots_[hole] = slots_[j];
-      hole = j;
-    }
-  }
-  keys_[hole] = 0;
-  --size_;
-}
-
 // --- FluidSimulator ----------------------------------------------------
 
 FluidSimulator::FluidSimulator() {
@@ -344,24 +266,28 @@ std::uint32_t FluidSimulator::classOf(const std::uint32_t* path, std::uint32_t l
 }
 
 std::uint32_t FluidSimulator::allocateFlowSlot() {
+  std::uint32_t slot;
   if (!freeFlowSlots_.empty()) {
-    const auto slot = freeFlowSlots_.back();
+    slot = freeFlowSlots_.back();
     freeFlowSlots_.pop_back();
-    return slot;
+  } else {
+    slot = static_cast<std::uint32_t>(flowId_.size());
+    flowId_.push_back(0);
+    flowGen_.push_back(0);
+    flowStart_.push_back(0.0);
+    flowBytes_.push_back(0);
+    flowOnComplete_.emplace_back();
+    flowClass_.push_back(0);
+    flowCohort_.push_back(kNone);
+    flowPrev_.push_back(kNone);
+    flowNext_.push_back(kNone);
+    flowCohortPrev_.push_back(kNone);
+    flowCohortNext_.push_back(kNone);
+    flowRound_.push_back(0);
+    flowShadow_.push_back(0.0);
   }
-  const auto slot = static_cast<std::uint32_t>(flowId_.size());
-  flowId_.push_back(0);
-  flowStart_.push_back(0.0);
-  flowBytes_.push_back(0);
-  flowOnComplete_.emplace_back();
-  flowClass_.push_back(0);
-  flowCohort_.push_back(kNone);
-  flowPrev_.push_back(kNone);
-  flowNext_.push_back(kNone);
-  flowCohortPrev_.push_back(kNone);
-  flowCohortNext_.push_back(kNone);
-  flowRound_.push_back(0);
-  flowShadow_.push_back(0.0);
+  // Generation 0 is skipped on wrap-around so no handle is ever 0.
+  if (++flowGen_[slot] == 0) flowGen_[slot] = 1;
   return slot;
 }
 
@@ -369,6 +295,11 @@ void FluidSimulator::freeFlowSlot(std::uint32_t slot) {
   flowId_[slot] = 0;
   flowOnComplete_[slot] = nullptr;
   freeFlowSlots_.push_back(slot);
+}
+
+std::uint32_t FluidSimulator::liveSlot(FlowId id) const {
+  const auto slot = static_cast<std::uint32_t>(id.value);
+  return id.value != 0 && slot < flowId_.size() && flowId_[slot] == id.value ? slot : kNone;
 }
 
 std::uint32_t FluidSimulator::findCohort(std::uint32_t cls, double remaining) const {
@@ -452,32 +383,31 @@ FlowId FluidSimulator::startFlow(FlowSpec spec) {
   for (const auto r : spec.path) {
     BEESIM_ASSERT(r.value < resources_.size(), "flow crosses an unknown resource");
   }
-  const FlowId id{nextFlowId_++};
+  const auto slot = allocateFlowSlot();
+  const FlowId id{handleOf(slot)};
   const SimTime t = engine_.now();
   syncResourceState();
+  flowStart_[slot] = t;
+  flowBytes_[slot] = spec.bytes;
+  flowOnComplete_[slot] = std::move(spec.onComplete);
 
   if (spec.bytes == 0) {
-    // Degenerate flow: completes instantly, never enters the solver.  The
-    // observer still sees the full start/complete lifecycle so trace-derived
-    // flow counts agree with the callers' view.
+    // Degenerate flow: completes instantly, never enters the solver and is
+    // never live.  The observer still sees the full start/complete lifecycle
+    // so trace-derived flow counts agree with the callers' view; the slot
+    // stays reserved until that +0 completion, so the handle stays unique.
     if (observer_ != nullptr) {
       observer_->onFlowStarted(id, spec.path, 0, t);
     }
-    if (observer_ != nullptr || spec.onComplete) {
-      FlowStats stats{id, t, t, 0};
-      engine_.scheduleAfter(0.0, [this, cb = std::move(spec.onComplete), stats] {
-        if (observer_ != nullptr) observer_->onFlowCompleted(stats);
-        if (cb) cb(stats);
-      });
+    if (observer_ != nullptr || flowOnComplete_[slot]) {
+      engine_.scheduleAfter(0.0, [this, slot] { completeSlot(slot, engine_.now()); });
+    } else {
+      freeFlowSlot(slot);
     }
     return id;
   }
 
-  const auto slot = allocateFlowSlot();
   flowId_[slot] = id.value;
-  flowStart_[slot] = t;
-  flowBytes_[slot] = spec.bytes;
-  flowOnComplete_[slot] = std::move(spec.onComplete);
 
   const auto len = static_cast<std::uint32_t>(spec.path.size());
   pathScratch_.resize(len);
@@ -543,7 +473,6 @@ FlowId FluidSimulator::startFlow(FlowSpec spec) {
   listComponent(root);
 
   if (observer_ != nullptr) observer_->onFlowStarted(id, spec.path, spec.bytes, t);
-  idMap_.insert(id.value, slot);
   ++activeCount_;
   scheduleResolve();
   return id;
@@ -554,11 +483,11 @@ void FluidSimulator::startFlowAt(SimTime at, FlowSpec spec) {
 }
 
 util::MiBps FluidSimulator::flowRate(FlowId id) const {
-  const auto slot = idMap_.find(id.value);
+  const auto slot = liveSlot(id);
   return slot == kNone ? 0.0 : rateOf(slot);
 }
 
-bool FluidSimulator::flowActive(FlowId id) const { return idMap_.find(id.value) != kNone; }
+bool FluidSimulator::flowActive(FlowId id) const { return liveSlot(id) != kNone; }
 
 void FluidSimulator::unlinkFlow(std::uint32_t slot, std::uint32_t root) {
   const auto prev = flowPrev_[slot];
@@ -593,7 +522,7 @@ void FluidSimulator::unlinkFlow(std::uint32_t slot, std::uint32_t root) {
 }
 
 std::optional<util::Bytes> FluidSimulator::cancelFlow(FlowId id) {
-  const auto slot = idMap_.find(id.value);
+  const auto slot = liveSlot(id);
   if (slot == kNone) return std::nullopt;
   const SimTime t = engine_.now();
   const auto root = rootOfFlow(slot);
@@ -609,7 +538,6 @@ std::optional<util::Bytes> FluidSimulator::cancelFlow(FlowId id) {
   }
 
   removeFlowLoad(slot);
-  idMap_.erase(id.value);
   --activeCount_;
   freeFlowSlot(slot);
   markDirty(root);
@@ -671,17 +599,24 @@ void FluidSimulator::removeFlowLoad(std::uint32_t slot) {
   }
 }
 
-void FluidSimulator::finishFlow(std::uint32_t slot, std::uint32_t root, SimTime t) {
+void FluidSimulator::finishFlow(std::uint32_t slot, std::uint32_t root) {
   unlinkFlow(slot, root);
   removeFlowLoad(slot);
-  idMap_.erase(flowId_[slot]);
   --activeCount_;
   // Callbacks are deferred to the drain list: an onComplete that starts
   // new flows (the IOR segment chain does) must not mutate component
-  // lists while this sweep walks them.
-  drain_.push_back(DrainEntry{
-      FlowStats{FlowId{flowId_[slot]}, flowStart_[slot], t, flowBytes_[slot]},
-      std::move(flowOnComplete_[slot])});
+  // lists while this sweep walks them.  The slot stays reserved until its
+  // completion is reported, or a flow started by an earlier callback of the
+  // batch could take it -- and its handle -- first.
+  flowId_[slot] = 0;
+  drain_.push_back(slot);
+}
+
+void FluidSimulator::completeSlot(std::uint32_t slot, SimTime end) {
+  const FlowStats stats{FlowId{handleOf(slot)}, flowStart_[slot], end, flowBytes_[slot]};
+  const auto onComplete = std::move(flowOnComplete_[slot]);
+  if (observer_ != nullptr) observer_->onFlowCompleted(stats);
+  if (onComplete) onComplete(stats);
   freeFlowSlot(slot);
 }
 
@@ -702,13 +637,13 @@ void FluidSimulator::settleComponent(std::uint32_t root, SimTime t) {
   if (finished == 1) {
     for (auto slot = cohortHead_[last]; slot != kNone;) {
       const auto next = flowCohortNext_[slot];
-      finishFlow(slot, root, t);
+      finishFlow(slot, root);
       slot = next;
     }
   } else if (finished > 1) {
     for (auto slot = comps_[root].head; slot != kNone;) {
       const auto next = flowNext_[slot];
-      if (cohortFinished_[flowCohort_[slot]] != 0) finishFlow(slot, root, t);
+      if (cohortFinished_[flowCohort_[slot]] != 0) finishFlow(slot, root);
       slot = next;
     }
   }
@@ -840,10 +775,7 @@ void FluidSimulator::resolveNow() {
   // 2. Run the deferred completion callbacks.  These may start new flows
   //    (which merge/dirty components and queue another +0 resolve -- that one
   //    will find everything clean) or invalidate capacities.
-  for (auto& entry : drain_) {
-    if (observer_ != nullptr) observer_->onFlowCompleted(entry.stats);
-    if (entry.onComplete) entry.onComplete(entry.stats);
-  }
+  for (const auto slot : drain_) completeSlot(slot, t);
   drain_.clear();
 
   // 3. System drained: reset the merge-only union-find so the next episode
@@ -1012,6 +944,8 @@ void FluidSimulator::runSolverCheck() {
   for (std::uint32_t slot = 0; slot < flowId_.size(); ++slot) {
     if (flowId_[slot] == 0) continue;
     checkSlots.push_back(slot);
+    BEESIM_ASSERT(flowId_[slot] == handleOf(slot),
+                  "solver check: a live flow's id is not its slot's current handle");
     const auto c = flowClass_[slot];
     ++liveCheck[c];
     const auto* adj = classAdjacency_.data() + classAdjOffset_[c];
@@ -1030,6 +964,14 @@ void FluidSimulator::runSolverCheck() {
   }
   BEESIM_ASSERT(checkSlots.size() == activeCount_,
                 "solver check: live-slot count disagrees with activeFlows()");
+  std::vector<char> reserved(flowId_.size(), 0);
+  for (const auto slot : drain_) reserved[slot] = 1;
+  for (const auto slot : freeFlowSlots_) {
+    BEESIM_ASSERT(flowId_[slot] == 0 && reserved[slot] == 0,
+                  "solver check: a free flow slot is live, awaits its completion, or is "
+                  "listed twice");
+    reserved[slot] = 1;
+  }
   for (std::uint32_t c = 0; c < classHash_.size(); ++c) {
     BEESIM_ASSERT(liveCheck[c] == classLive_[c], "solver check: stale class member count");
   }

@@ -108,6 +108,9 @@ struct ResourceSpec {
   CapacityFn capacity;
 };
 
+/// Opaque flow handle: a generation-stamped slot index, unique per simulator
+/// up to 2^32 reuses of one internal slot.  Handles are not ordered by start
+/// time; compare them for equality only.  0 (the default) means "no flow".
 struct FlowId {
   std::uint64_t value = 0;
   friend bool operator==(FlowId a, FlowId b) { return a.value == b.value; }
@@ -263,9 +266,10 @@ class FluidSimulator {
   /// BEESIM_SOLVER_CHECK environment variable): every resolve additionally
   /// re-solves all live flows from scratch and asserts the incremental rates
   /// match to 1e-9 relative; that the incremental load accounting, class
-  /// member counts and compiled class sets agree with an exact recount; and
+  /// member counts and compiled class sets agree with an exact recount;
   /// that every flow's cohort holds exactly the remaining bytes a per-flow
-  /// shadow, advanced by the per-flow rule, does.
+  /// shadow, advanced by the per-flow rule, does; and that every live id is
+  /// its slot's current handle and no free slot is live or awaits its report.
   void setSolverCheck(bool enabled);
 
   /// Run until all events *and* flows drain.  Throws ContractError if flows
@@ -285,30 +289,6 @@ class FluidSimulator {
 
  private:
   static constexpr std::uint32_t kNone = 0xffffffffu;
-
-  /// Open-addressed FlowId -> slot map (linear probing, backward-shift
-  /// deletion).  Key 0 marks an empty bucket -- valid flow ids start at 1.
-  class IdMap {
-   public:
-    void insert(std::uint64_t key, std::uint32_t slot);
-    void erase(std::uint64_t key);
-    /// Returns kNone when absent.
-    std::uint32_t find(std::uint64_t key) const;
-    std::size_t size() const { return size_; }
-
-   private:
-    static std::size_t bucketOf(std::uint64_t key, std::size_t mask);
-    void grow();
-
-    std::vector<std::uint64_t> keys_;
-    std::vector<std::uint32_t> slots_;
-    std::size_t size_ = 0;
-  };
-
-  struct DrainEntry {
-    FlowStats stats;
-    std::function<void(const FlowStats&)> onComplete;
-  };
 
   using Seconds = util::Seconds;
 
@@ -332,8 +312,11 @@ class FluidSimulator {
   /// Advance to `t` and move finished flows out of the component into
   /// drain_ (bookkeeping updated; callbacks NOT yet run).
   void settleComponent(std::uint32_t root, SimTime t);
-  /// Take a finished flow out of the system and queue its callback.
-  void finishFlow(std::uint32_t slot, std::uint32_t root, SimTime t);
+  /// Take a finished flow out of the system and queue its slot on drain_.
+  void finishFlow(std::uint32_t slot, std::uint32_t root);
+  /// Report a reserved slot's completion at `end` to the observer, run its
+  /// callback, and only then free the slot.
+  void completeSlot(std::uint32_t slot, SimTime end);
   /// Unlink a flow from its component, cohort and class bookkeeping.
   void unlinkFlow(std::uint32_t slot, std::uint32_t root);
   void removeFlowLoad(std::uint32_t slot);
@@ -352,8 +335,15 @@ class FluidSimulator {
   void scheduleNextWakeup();
   void runSolverCheck();
 
+  /// Take a free slot and stamp it with a new generation (its handle).
   std::uint32_t allocateFlowSlot();
   void freeFlowSlot(std::uint32_t slot);
+  /// The handle of the slot's current tenant: slot | generation << 32.
+  std::uint64_t handleOf(std::uint32_t slot) const {
+    return slot | std::uint64_t{flowGen_[slot]} << 32;
+  }
+  /// The slot of a live flow, or kNone for a finished, cancelled or stale id.
+  std::uint32_t liveSlot(FlowId id) const;
   /// A live cohort of the class holding exactly `remaining` MiB, or kNone.
   std::uint32_t findCohort(std::uint32_t cls, double remaining) const;
   /// Open a cohort and make it the class's newest.
@@ -405,10 +395,13 @@ class FluidSimulator {
   std::vector<std::uint32_t> activeRoots_;  // lazily filtered
   std::vector<std::uint32_t> dirtyRoots_;
 
-  // --- Per-flow state (slot-indexed; id 0 marks a free slot) ---
+  // --- Per-flow state (slot-indexed) ---
   // A flow keeps only its identity and list links; its path, weight, cap
-  // and rate live in its class, its remaining bytes in its cohort.
+  // and rate live in its class, its remaining bytes in its cohort.  flowId_
+  // holds a live flow's handle and 0 otherwise: a finished flow's slot stays
+  // reserved (inactive, off the free list) until its completion is reported.
   std::vector<std::uint64_t> flowId_;
+  std::vector<std::uint32_t> flowGen_;  // generation of the slot's latest tenant
   std::vector<SimTime> flowStart_;
   std::vector<util::Bytes> flowBytes_;
   std::vector<std::function<void(const FlowStats&)>> flowOnComplete_;
@@ -421,7 +414,6 @@ class FluidSimulator {
   std::vector<std::uint64_t> flowRound_;  // solveRound_ at start
   std::vector<double> flowShadow_;       // solver check: per-flow remaining MiB
   std::vector<std::uint32_t> freeFlowSlots_;
-  IdMap idMap_;
 
   // --- Cohorts (pooled): a class's flows holding bit-identical remaining
   // bytes, which the shared class rate keeps identical.  Members are listed
@@ -482,11 +474,10 @@ class FluidSimulator {
   std::vector<std::uint32_t> positions_;  // 0, 1, 2, ...
   std::vector<FlowId> solvedIds_;
   std::vector<util::MiBps> solvedRates_;
-  std::vector<DrainEntry> drain_;
+  std::vector<std::uint32_t> drain_;  // finished slots awaiting their report
   SolverWorkspace checkWorkspace_;
 
   std::size_t activeCount_ = 0;
-  std::uint64_t nextFlowId_ = 1;
   std::uint64_t solveRound_ = 0;  // completed resolve passes
   bool resolvePending_ = false;
   bool pendingAllDirty_ = false;

@@ -37,6 +37,7 @@ void FlowTracer::ensureResourceCapacity(std::size_t count) {
   resourcePeak_.resize(count, 0.0);
   resourceRate_.resize(count, 0.0);
   resourceFlows_.resize(count, 0);
+  resListed_.resize(count, 0);
 }
 
 void FlowTracer::setMetricsInterval(util::Seconds dt) {
@@ -53,7 +54,7 @@ void FlowTracer::trackLink(ResourceIndex link, std::string name) {
 void FlowTracer::recordSample(SimTime at) {
   MetricsSample sample;
   sample.time = at;
-  sample.activeFlows = live_.size();
+  sample.activeFlows = liveCount_;
   sample.aggregateRate = totalRate_;
   sample.linkRates.reserve(trackedLinks_.size());
   sample.linkFlows.reserve(trackedLinks_.size());
@@ -78,13 +79,21 @@ void FlowTracer::bankInterval(SimTime until) {
   }
   const double dt = until - lastBankTime_;
   if (dt > 0.0) {
-    for (std::size_t r = 0; r < resourceRate_.size(); ++r) {
+    for (std::size_t i = 0; i < loadedRes_.size();) {
+      const auto r = loadedRes_[i];
+      if (resourceFlows_[r] == 0) {
+        resListed_[r] = 0;
+        loadedRes_[i] = loadedRes_.back();
+        loadedRes_.pop_back();
+        continue;
+      }
       const double rate = resourceRate_[r];
       if (rate > kBusyEpsMiBps) {
         resourceMiB_[r] += rate * dt;
         resourceBusy_[r] += dt;
         resourcePeak_[r] = std::max(resourcePeak_[r], rate);
       }
+      ++i;
     }
   }
   lastBankTime_ = until;
@@ -96,8 +105,19 @@ void FlowTracer::onFlowStarted(FlowId id, std::span<const ResourceIndex> path,
   std::uint32_t maxIndex = 0;
   for (const auto r : path) maxIndex = std::max(maxIndex, r.value);
   ensureResourceCapacity(static_cast<std::size_t>(maxIndex) + 1);
-  for (const auto r : path) ++resourceFlows_[r.value];
-  live_[id.value] = LiveFlow{{path.begin(), path.end()}, 0.0};
+  for (const auto r : path) {
+    if (resourceFlows_[r.value]++ == 0 && resListed_[r.value] == 0) {
+      resListed_[r.value] = 1;
+      loadedRes_.push_back(r.value);
+    }
+  }
+  const auto slot = static_cast<std::uint32_t>(id.value);
+  if (slot >= live_.size()) live_.resize(static_cast<std::size_t>(slot) + 1);
+  auto& flow = live_[slot];
+  if (flow.id == 0) ++liveCount_;
+  flow.id = id.value;
+  flow.rate = 0.0;
+  flow.path.assign(path.begin(), path.end());
   TraceEvent event;
   event.kind = TraceEvent::Kind::kStart;
   event.time = at;
@@ -114,13 +134,13 @@ void FlowTracer::onRatesSolved(SimTime at, std::span<const FlowId> ids,
   // their previous rate, so the per-resource and total aggregates are
   // maintained by applying each reported flow's rate delta along its path.
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    const auto it = live_.find(ids[i].value);
-    if (it == live_.end()) continue;
-    const double delta = rates[i] - it->second.rate;
+    LiveFlow* flow = liveFlow(ids[i]);
+    if (flow == nullptr) continue;
+    const double delta = rates[i] - flow->rate;
     if (delta != 0.0) {
-      for (const auto r : it->second.path) resourceRate_[r.value] += delta;
+      for (const auto r : flow->path) resourceRate_[r.value] += delta;
       totalRate_ += delta;
-      it->second.rate = rates[i];
+      flow->rate = rates[i];
     }
   }
   TraceEvent event;
@@ -131,23 +151,29 @@ void FlowTracer::onRatesSolved(SimTime at, std::span<const FlowId> ids,
   events_.push_back(event);
 }
 
-void FlowTracer::dropFlow(std::uint64_t id, SimTime at) {
+FlowTracer::LiveFlow* FlowTracer::liveFlow(FlowId id) {
+  const auto slot = static_cast<std::uint32_t>(id.value);
+  if (id.value == 0 || slot >= live_.size() || live_[slot].id != id.value) return nullptr;
+  return &live_[slot];
+}
+
+void FlowTracer::dropFlow(FlowId id, SimTime at) {
   bankInterval(at);
-  const auto it = live_.find(id);
-  if (it == live_.end()) return;
-  for (const auto r : it->second.path) {
-    resourceRate_[r.value] -= it->second.rate;
+  LiveFlow* flow = liveFlow(id);
+  if (flow == nullptr) return;
+  for (const auto r : flow->path) {
+    resourceRate_[r.value] -= flow->rate;
     // Snap to exactly zero when the resource empties so +/- residue cannot
     // accumulate into phantom busy time.
     if (--resourceFlows_[r.value] == 0) resourceRate_[r.value] = 0.0;
   }
-  totalRate_ -= it->second.rate;
-  live_.erase(it);
-  if (live_.empty()) totalRate_ = 0.0;
+  totalRate_ -= flow->rate;
+  flow->id = 0;
+  if (--liveCount_ == 0) totalRate_ = 0.0;
 }
 
 void FlowTracer::onFlowCompleted(const FlowStats& stats) {
-  dropFlow(stats.id.value, stats.endTime);
+  dropFlow(stats.id, stats.endTime);
   TraceEvent event;
   event.kind = TraceEvent::Kind::kComplete;
   event.time = stats.endTime;
@@ -158,7 +184,7 @@ void FlowTracer::onFlowCompleted(const FlowStats& stats) {
 }
 
 void FlowTracer::onFlowCancelled(const FlowStats& stats) {
-  dropFlow(stats.id.value, stats.endTime);
+  dropFlow(stats.id, stats.endTime);
   TraceEvent event;
   event.kind = TraceEvent::Kind::kCancel;
   event.time = stats.endTime;

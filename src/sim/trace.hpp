@@ -23,8 +23,15 @@
 // It attaches through FluidSimulator::addObserver, so it composes with any
 // other observer instead of clobbering the slot (see sim/observer_hub.hpp).
 //
-// For cluster-scale runs the FlowTracer's per-event map lookups and O(path)
-// delta accounting dominate: tracing can cost tens of percent of wall time.
+// The FlowTracer costs O(path) per flow start, end and reported rate change,
+// plus one walk over the resources that carry flows per banked interval; its
+// live flows sit in a table indexed by the flow handle's slot.  Measured on
+// perfbench (seed 1, 4 threads of a Xeon host), one tracer per run
+// (--utilization) takes paper_campaign from 0.036 s to 0.058 s (+60%) and
+// the 4096-node scale_32k campaign from 0.240 s to 0.545 s (+127%); on
+// gray_failure, where the health monitor's tracer is the only observer, its
+// callbacks are 15% of self time (gprof, 1 thread).
+//
 // RingTraceSink is the cheap alternative (--trace-format=ring): every
 // observer callback appends one fixed-width 40-byte binary record to a
 // preallocated ring buffer -- no map, no per-resource state, no allocation,
@@ -35,7 +42,6 @@
 
 #include <filesystem>
 #include <functional>
-#include <map>
 #include <span>
 #include <string>
 #include <vector>
@@ -165,26 +171,40 @@ class FlowTracer final : public FluidObserver {
   void ensureResourceCapacity(std::size_t count);
   void bankInterval(SimTime until);
   void recordSample(SimTime at);
-  void dropFlow(std::uint64_t id, SimTime at);
+  void dropFlow(FlowId id, SimTime at);
+
+  /// A live flow this tracer saw start, in the per-slot table.
+  struct LiveFlow {
+    std::uint64_t id = 0;  // full handle; 0 = no live flow in this slot
+    util::MiBps rate = 0.0;
+    std::vector<ResourceIndex> path;  // keeps its capacity across tenants
+  };
+  /// The table entry of a live flow, or nullptr (unknown, finished, or
+  /// started before this tracer attached).
+  LiveFlow* liveFlow(FlowId id);
 
   FluidSimulator& fluid_;
   std::vector<TraceEvent> events_;
-  /// Flow -> (path, current rate); alive flows only.
-  struct LiveFlow {
-    std::vector<ResourceIndex> path;
-    util::MiBps rate = 0.0;
-  };
-  std::map<std::uint64_t, LiveFlow> live_;
+  /// Indexed by a handle's low 32 bits (its slot) and checked against the
+  /// full handle.  The simulator hands a slot to a new flow only after the
+  /// previous tenant's completion or cancellation was reported, so a slot
+  /// holds at most one live flow.
+  std::vector<LiveFlow> live_;
+  std::size_t liveCount_ = 0;
 
   // Per-resource accounting, sized from fluid_.resourceCount() at attach
   // time (and grown if resources are added later).  resourceRate_ and
-  // resourceFlows_ are maintained incrementally per event, so banking an
-  // interval costs O(resources) with zero allocations.
+  // resourceFlows_ are maintained incrementally per event.  Banking an
+  // interval walks loadedRes_, the resources with resourceFlows_ > 0
+  // (lazily compacted; resListed_ marks members) -- an uncrossed resource's
+  // rate is exactly 0, so it has nothing to bank.
   std::vector<double> resourceMiB_;
   std::vector<util::Seconds> resourceBusy_;
   std::vector<util::MiBps> resourcePeak_;
   std::vector<util::MiBps> resourceRate_;
   std::vector<std::uint32_t> resourceFlows_;
+  std::vector<char> resListed_;
+  std::vector<std::uint32_t> loadedRes_;
   util::MiBps totalRate_ = 0.0;
   SimTime lastBankTime_ = 0.0;
 

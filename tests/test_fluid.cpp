@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <vector>
 
 #include "util/error.hpp"
@@ -424,6 +426,134 @@ TEST(FluidCancel, ObserverSeesCancellationWithRemainingBytes) {
   EXPECT_EQ(observer.cancelled[0].id.value, id.value);
   EXPECT_NEAR(static_cast<double>(observer.cancelled[0].bytes) / static_cast<double>(1_MiB),
               400.0, 1.0);
+}
+
+TEST(FluidHandle, FinishedHandleStaysDeadAfterItsSlotIsReused) {
+  FluidSimulator fluid;
+  const auto link = addLink(fluid, "link", 100.0);
+  const auto first = fluid.startFlow(FlowSpec{.path = {link},
+                                              .bytes = 100_MiB,
+                                              .queueWeight = 1.0,
+                                              .rateCap = 0.0,
+                                              .onComplete = nullptr});
+  fluid.run();
+  const auto second = fluid.startFlow(FlowSpec{.path = {link},
+                                               .bytes = 100_MiB,
+                                               .queueWeight = 1.0,
+                                               .rateCap = 0.0,
+                                               .onComplete = nullptr});
+  // One flow at a time: the second takes the first's slot, under a new
+  // generation.
+  ASSERT_EQ(static_cast<std::uint32_t>(first.value), static_cast<std::uint32_t>(second.value));
+  ASSERT_NE(first, second);
+  bool checked = false;
+  fluid.engine().scheduleAfter(0.5, [&] {
+    EXPECT_TRUE(fluid.flowActive(second));
+    EXPECT_GT(fluid.flowRate(second), 0.0);
+    EXPECT_FALSE(fluid.flowActive(first));
+    EXPECT_EQ(fluid.flowRate(first), 0.0);
+    EXPECT_FALSE(fluid.cancelFlow(first).has_value());
+    EXPECT_TRUE(fluid.flowActive(second)) << "a stale handle must not cancel the new tenant";
+    EXPECT_FALSE(fluid.flowActive(FlowId{}));
+    checked = true;
+  });
+  fluid.run();
+  EXPECT_TRUE(checked);
+}
+
+TEST(FluidHandle, ZeroByteFlowIdIsNeverActiveNorALiveFlowsId) {
+  FluidSimulator fluid;
+  CountingObserver observer;
+  fluid.setObserver(&observer);
+  const auto link = addLink(fluid, "link", 100.0);
+  std::vector<FlowId> live;
+  std::vector<FlowId> empty;
+  const auto zeroSpec = [&] {
+    return FlowSpec{.path = {link},
+                    .bytes = 0,
+                    .queueWeight = 1.0,
+                    .rateCap = 0.0,
+                    .onComplete = [&](const FlowStats& s) {
+                      EXPECT_FALSE(fluid.flowActive(s.id));
+                    }};
+  };
+  // Zero-byte flows interleaved with live ones, at start and from a live
+  // flow's completion, so their slots are both fresh and reused.
+  for (int i = 0; i < 3; ++i) {
+    live.push_back(fluid.startFlow(FlowSpec{
+        .path = {link},
+        .bytes = static_cast<util::Bytes>(i + 1) * 10_MiB,
+        .queueWeight = 1.0,
+        .rateCap = 0.0,
+        .onComplete = [&](const FlowStats&) {
+          empty.push_back(fluid.startFlow(zeroSpec()));
+          EXPECT_FALSE(fluid.flowActive(empty.back()));
+          live.push_back(fluid.startFlow(FlowSpec{.path = {link},
+                                                  .bytes = 5_MiB,
+                                                  .queueWeight = 1.0,
+                                                  .rateCap = 0.0,
+                                                  .onComplete = nullptr}));
+        }}));
+    empty.push_back(fluid.startFlow(zeroSpec()));
+    EXPECT_FALSE(fluid.flowActive(empty.back()));
+    EXPECT_TRUE(fluid.flowActive(live.back()));
+  }
+  fluid.run();
+  ASSERT_EQ(empty.size(), 6u);
+  std::set<std::uint64_t> ids;
+  for (const auto id : live) ids.insert(id.value);
+  for (const auto id : empty) {
+    EXPECT_NE(id.value, 0u);
+    EXPECT_FALSE(fluid.flowActive(id));
+    ids.insert(id.value);
+  }
+  EXPECT_EQ(ids.size(), live.size() + empty.size()) << "handles must be unique";
+  EXPECT_EQ(observer.completed.size(), observer.started.size());
+}
+
+TEST(FluidHandle, BatchCompletionStartsFlowsWithFreshIds) {
+  // Every member of a finishing batch starts a new flow from its onComplete.
+  // The batch's slots stay reserved until each is reported, so no new flow
+  // may inherit an id of the batch, and every stats.id is the id startFlow
+  // returned for that flow.
+  FluidSimulator fluid;
+  const auto link = addLink(fluid, "link", 100.0);
+  constexpr int kBatch = 8;
+  std::vector<FlowId> batch;
+  std::vector<FlowId> reported;
+  std::vector<FlowId> followers;
+  std::vector<FlowId> followerReports;
+  for (int i = 0; i < kBatch; ++i) {
+    batch.push_back(fluid.startFlow(FlowSpec{
+        .path = {link},
+        .bytes = 64_MiB,
+        .queueWeight = 1.0,
+        .rateCap = 0.0,
+        .onComplete = [&](const FlowStats& s) {
+          reported.push_back(s.id);
+          EXPECT_FALSE(fluid.flowActive(s.id));
+          followers.push_back(fluid.startFlow(FlowSpec{
+              .path = {link},
+              .bytes = 16_MiB,
+              .queueWeight = 1.0,
+              .rateCap = 0.0,
+              .onComplete = [&](const FlowStats& f) { followerReports.push_back(f.id); }}));
+        }}));
+  }
+  fluid.run();
+  ASSERT_EQ(reported.size(), static_cast<std::size_t>(kBatch));
+  EXPECT_EQ(reported, batch) << "the batch completes in start order";
+  for (const auto f : followers) {
+    EXPECT_EQ(std::find(batch.begin(), batch.end(), f), batch.end())
+        << "a follower inherited a handle of the batch";
+  }
+  std::vector<std::uint64_t> started;
+  std::vector<std::uint64_t> got;
+  for (const auto f : followers) started.push_back(f.value);
+  for (const auto f : followerReports) got.push_back(f.value);
+  std::sort(started.begin(), started.end());
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, started);
 }
 
 }  // namespace

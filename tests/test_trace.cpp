@@ -2,12 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <map>
+#include <memory>
+
 #include "beegfs/deployment.hpp"
+#include "core/metrics.hpp"
 #include "beegfs/filesystem.hpp"
 #include "ior/runner.hpp"
 #include "topology/plafrim.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
 #include "util/string_util.hpp"
 #include "util/units.hpp"
 
@@ -147,6 +153,285 @@ TEST(Trace, DetachesOnDestruction) {
                            .rateCap = 0.0, .onComplete = nullptr});
   fluid.run();
   SUCCEED();
+}
+
+// --- FlowTracer vs. a map-keyed reference --------------------------------
+
+/// The FlowTracer's accounting as it stood with a std::map from flow id to
+/// (path, rate) and a bank over every resource: the reference the per-slot
+/// table and the loaded-resource walk must reproduce bit for bit.
+class MapReferenceTracer final : public FluidObserver {
+ public:
+  explicit MapReferenceTracer(FluidSimulator& fluid) : fluid_(fluid) {
+    fluid_.addObserver(this);
+    lastBankTime_ = fluid_.now();
+    ensureResources(fluid_.resourceCount());
+  }
+  ~MapReferenceTracer() override { fluid_.removeObserver(this); }
+
+  void setMetricsInterval(util::Seconds dt) {
+    metricsDt_ = dt;
+    nextSampleTime_ = lastBankTime_ + dt;
+  }
+  void trackLink(ResourceIndex link) { trackedLinks_.push_back(link); }
+
+  void onFlowStarted(FlowId id, std::span<const ResourceIndex> path, util::Bytes bytes,
+                     SimTime at) override {
+    bankInterval(at);
+    for (const auto r : path) ensureResources(static_cast<std::size_t>(r.value) + 1);
+    for (const auto r : path) ++flows_[r.value];
+    live_[id.value] = LiveFlow{{path.begin(), path.end()}, 0.0};
+    events.push_back(TraceEvent{.kind = TraceEvent::Kind::kStart,
+                                .time = at,
+                                .flow = id.value,
+                                .bytes = bytes});
+  }
+
+  void onRatesSolved(SimTime at, std::span<const FlowId> ids,
+                     std::span<const util::MiBps> rates, std::size_t activeFlows) override {
+    bankInterval(at);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const auto it = live_.find(ids[i].value);
+      if (it == live_.end()) continue;
+      const double delta = rates[i] - it->second.rate;
+      if (delta != 0.0) {
+        for (const auto r : it->second.path) rate_[r.value] += delta;
+        totalRate_ += delta;
+        it->second.rate = rates[i];
+      }
+    }
+    events.push_back(TraceEvent{.kind = TraceEvent::Kind::kRates,
+                                .time = at,
+                                .activeFlows = activeFlows,
+                                .totalRate = totalRate_});
+  }
+
+  void onFlowCompleted(const FlowStats& stats) override {
+    drop(stats.id.value, stats.endTime);
+    events.push_back(TraceEvent{.kind = TraceEvent::Kind::kComplete,
+                                .time = stats.endTime,
+                                .flow = stats.id.value,
+                                .bytes = stats.bytes,
+                                .meanRate = stats.meanRate()});
+  }
+
+  void onFlowCancelled(const FlowStats& stats) override {
+    drop(stats.id.value, stats.endTime);
+    events.push_back(TraceEvent{.kind = TraceEvent::Kind::kCancel,
+                                .time = stats.endTime,
+                                .flow = stats.id.value,
+                                .bytes = stats.bytes});
+  }
+
+  std::vector<TraceEvent> events;
+  std::vector<MetricsSample> samples;
+  std::vector<double> mib;
+  std::vector<util::Seconds> busy;
+  std::vector<util::MiBps> peak;
+
+ private:
+  struct LiveFlow {
+    std::vector<ResourceIndex> path;
+    util::MiBps rate = 0.0;
+  };
+
+  void ensureResources(std::size_t count) {
+    if (count <= mib.size()) return;
+    mib.resize(count, 0.0);
+    busy.resize(count, 0.0);
+    peak.resize(count, 0.0);
+    rate_.resize(count, 0.0);
+    flows_.resize(count, 0);
+  }
+
+  void bankInterval(SimTime until) {
+    if (metricsDt_ > 0.0) {
+      while (nextSampleTime_ <= until) {
+        MetricsSample sample;
+        sample.time = nextSampleTime_;
+        sample.activeFlows = live_.size();
+        sample.aggregateRate = totalRate_;
+        for (const auto link : trackedLinks_) {
+          sample.linkRates.push_back(rate_[link.value]);
+          sample.linkFlows.push_back(flows_[link.value]);
+        }
+        sample.linkImbalance = core::linkImbalance(sample.linkRates);
+        samples.push_back(std::move(sample));
+        nextSampleTime_ += metricsDt_;
+      }
+    }
+    const double dt = until - lastBankTime_;
+    if (dt > 0.0) {
+      for (std::size_t r = 0; r < rate_.size(); ++r) {
+        if (rate_[r] > 1e-9) {
+          mib[r] += rate_[r] * dt;
+          busy[r] += dt;
+          peak[r] = std::max(peak[r], rate_[r]);
+        }
+      }
+    }
+    lastBankTime_ = until;
+  }
+
+  void drop(std::uint64_t id, SimTime at) {
+    bankInterval(at);
+    const auto it = live_.find(id);
+    if (it == live_.end()) return;
+    for (const auto r : it->second.path) {
+      rate_[r.value] -= it->second.rate;
+      if (--flows_[r.value] == 0) rate_[r.value] = 0.0;
+    }
+    totalRate_ -= it->second.rate;
+    live_.erase(it);
+    if (live_.empty()) totalRate_ = 0.0;
+  }
+
+  FluidSimulator& fluid_;
+  std::map<std::uint64_t, LiveFlow> live_;
+  std::vector<util::MiBps> rate_;
+  std::vector<std::uint32_t> flows_;
+  util::MiBps totalRate_ = 0.0;
+  SimTime lastBankTime_ = 0.0;
+  util::Seconds metricsDt_ = 0.0;
+  SimTime nextSampleTime_ = 0.0;
+  std::vector<ResourceIndex> trackedLinks_;
+};
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expectSameAccounting(const FlowTracer& tracer, const MapReferenceTracer& reference) {
+  const auto& got = tracer.events();
+  const auto& want = reference.events;
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].kind, want[i].kind) << "event " << i;
+    EXPECT_EQ(bits(got[i].time), bits(want[i].time)) << "event " << i;
+    EXPECT_EQ(got[i].flow, want[i].flow) << "event " << i;
+    EXPECT_EQ(got[i].bytes, want[i].bytes) << "event " << i;
+    EXPECT_EQ(bits(got[i].meanRate), bits(want[i].meanRate)) << "event " << i;
+    EXPECT_EQ(got[i].activeFlows, want[i].activeFlows) << "event " << i;
+    EXPECT_EQ(bits(got[i].totalRate), bits(want[i].totalRate)) << "event " << i;
+  }
+  const auto& samples = tracer.samples();
+  ASSERT_EQ(samples.size(), reference.samples.size());
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const auto& a = samples[i];
+    const auto& b = reference.samples[i];
+    EXPECT_EQ(bits(a.time), bits(b.time)) << "sample " << i;
+    EXPECT_EQ(a.activeFlows, b.activeFlows) << "sample " << i;
+    EXPECT_EQ(bits(a.aggregateRate), bits(b.aggregateRate)) << "sample " << i;
+    ASSERT_EQ(a.linkRates.size(), b.linkRates.size());
+    for (std::size_t l = 0; l < a.linkRates.size(); ++l) {
+      EXPECT_EQ(bits(a.linkRates[l]), bits(b.linkRates[l])) << "sample " << i << " link " << l;
+    }
+    EXPECT_EQ(a.linkFlows, b.linkFlows) << "sample " << i;
+    EXPECT_EQ(bits(a.linkImbalance), bits(b.linkImbalance)) << "sample " << i;
+  }
+  const auto usage = tracer.resourceUsage();
+  ASSERT_EQ(usage.size(), reference.mib.size());
+  for (std::size_t r = 0; r < usage.size(); ++r) {
+    EXPECT_EQ(bits(usage[r].mib), bits(reference.mib[r])) << usage[r].name;
+    EXPECT_EQ(bits(usage[r].busyTime), bits(reference.busy[r])) << usage[r].name;
+    EXPECT_EQ(bits(usage[r].peakRate), bits(reference.peak[r])) << usage[r].name;
+  }
+}
+
+TEST(Trace, MatchesMapReferenceUnderChurn) {
+  // Seeded churn: staggered starts, zero-byte flows, cancels of live and
+  // finished ids, batches of identical flows whose completions start new
+  // flows, a load-dependent device, and a second tracer pair attached
+  // mid-run.  Each FlowTracer must report exactly what the map-keyed
+  // reference attached next to it does.
+  for (const std::uint64_t seed : {3u, 17u, 2024u}) {
+    FluidSimulator fluid;
+    std::vector<ResourceIndex> res;
+    for (int i = 0; i < 6; ++i) {
+      res.push_back(fluid.addResource(ResourceSpec{
+          "link" + std::to_string(i), constantCapacity(60.0 + 25.0 * i)}));
+    }
+    res.push_back(fluid.addResource(ResourceSpec{"dev", [](const ResourceLoad& load) {
+      return 40.0 + 15.0 * std::min(load.queueDepth, 4.0);
+    }}));
+
+    FlowTracer tracer(fluid);
+    MapReferenceTracer reference(fluid);
+    tracer.setMetricsInterval(0.25);
+    reference.setMetricsInterval(0.25);
+    for (int l = 0; l < 3; ++l) {
+      tracer.trackLink(res[l], "link" + std::to_string(l));
+      reference.trackLink(res[l]);
+    }
+    std::unique_ptr<FlowTracer> late;
+    std::unique_ptr<MapReferenceTracer> lateReference;
+    fluid.engine().schedule(2.5, [&] {
+      late = std::make_unique<FlowTracer>(fluid);
+      lateReference = std::make_unique<MapReferenceTracer>(fluid);
+      late->setMetricsInterval(0.4);
+      lateReference->setMetricsInterval(0.4);
+      for (int l = 3; l < 6; ++l) {
+        late->trackLink(res[l], "link" + std::to_string(l));
+        lateReference->trackLink(res[l]);
+      }
+    });
+
+    util::Rng rng(seed);
+    std::vector<FlowId> ids;
+    int followersLeft = 40;
+    std::size_t zeroByte = 0;
+    const auto randomSpec = [&] {
+      FlowSpec spec;
+      const auto len = static_cast<std::size_t>(rng.uniformInt(1, 3));
+      for (const auto r : rng.sampleWithoutReplacement(res.size(), len)) {
+        spec.path.push_back(res[r]);
+      }
+      spec.bytes = rng.bernoulli(0.15)
+                       ? 0
+                       : static_cast<util::Bytes>(rng.uniformInt(1, 40)) * 1_MiB;
+      spec.queueWeight = rng.bernoulli(0.3) ? 2.0 : 1.0;
+      spec.rateCap = rng.bernoulli(0.2) ? rng.uniform(10.0, 50.0) : 0.0;
+      return spec;
+    };
+    std::function<void(const FlowStats&)> chain = [&](const FlowStats&) {
+      if (followersLeft <= 0) return;
+      --followersLeft;
+      auto spec = randomSpec();
+      if (spec.bytes == 0) ++zeroByte;
+      if (rng.bernoulli(0.5)) spec.onComplete = chain;
+      ids.push_back(fluid.startFlow(std::move(spec)));
+    };
+    for (int i = 0; i < 40; ++i) {
+      fluid.engine().schedule(rng.uniform(0.0, 5.0), [&] {
+        auto spec = randomSpec();
+        const int copies = rng.bernoulli(0.3) ? 3 : 1;  // a batch finishes together
+        for (int c = 0; c < copies; ++c) {
+          auto copy = spec;
+          if (copy.bytes == 0) ++zeroByte;
+          copy.onComplete = chain;
+          ids.push_back(fluid.startFlow(std::move(copy)));
+        }
+      });
+    }
+    std::size_t cancelled = 0;
+    for (int i = 0; i < 15; ++i) {
+      fluid.engine().schedule(rng.uniform(0.5, 6.0), [&] {
+        if (ids.empty()) return;
+        const auto pick = static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<std::int64_t>(ids.size()) - 1));
+        if (fluid.cancelFlow(ids[pick]).has_value()) ++cancelled;
+      });
+    }
+    fluid.run();
+
+    ASSERT_NE(late, nullptr);
+    EXPECT_GT(cancelled, 0u) << "seed " << seed;
+    EXPECT_GT(zeroByte, 0u) << "seed " << seed;
+    EXPECT_EQ(followersLeft, 0) << "seed " << seed;
+    EXPECT_FALSE(tracer.samples().empty());
+    EXPECT_FALSE(late->samples().empty());
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expectSameAccounting(tracer, reference);
+    expectSameAccounting(*late, *lateReference);
+  }
 }
 
 // --- RingTraceSink ------------------------------------------------------
