@@ -200,15 +200,13 @@ double Deployment::clientRampFactor(const NodeState& state, util::Seconds now) c
   return 1.0 - (1.0 - r0) * std::exp(-dt / (client.rampTau * state.rampTauFactor));
 }
 
-std::vector<sim::ResourceIndex> Deployment::writePath(std::size_t node,
-                                                      std::size_t flatTarget) const {
+sim::FlowPath Deployment::writePath(std::size_t node, std::size_t flatTarget) const {
   BEESIM_ASSERT(node < cluster_.nodes.size(), "unknown compute node");
   BEESIM_ASSERT(flatTarget < ostRes_.size(), "unknown storage target");
   const auto [host, indexInHost] = cluster_.targetLocation(flatTarget);
   (void)indexInHost;
 
-  std::vector<sim::ResourceIndex> path;
-  path.reserve(6);
+  sim::FlowPath path;
   path.push_back(clientRes_[node]);
   path.push_back(nodeNicRes_[node]);
   if (backbone_) path.push_back(*backbone_);
@@ -218,8 +216,7 @@ std::vector<sim::ResourceIndex> Deployment::writePath(std::size_t node,
   return path;
 }
 
-std::vector<sim::ResourceIndex> Deployment::replicaPath(std::size_t fromTarget,
-                                                        std::size_t toTarget) const {
+sim::FlowPath Deployment::replicaPath(std::size_t fromTarget, std::size_t toTarget) const {
   BEESIM_ASSERT(fromTarget < ostRes_.size(), "unknown storage target");
   BEESIM_ASSERT(toTarget < ostRes_.size(), "unknown storage target");
   const auto [fromHost, fromIdx] = cluster_.targetLocation(fromTarget);
@@ -228,8 +225,7 @@ std::vector<sim::ResourceIndex> Deployment::replicaPath(std::size_t fromTarget,
   (void)toIdx;
   BEESIM_ASSERT(fromHost != toHost, "replica path within one host");
 
-  std::vector<sim::ResourceIndex> path;
-  path.reserve(4);
+  sim::FlowPath path;
   if (backbone_) path.push_back(*backbone_);
   path.push_back(serverNicRes_[toHost]);
   if (ossRes_[toHost]) path.push_back(*ossRes_[toHost]);

@@ -46,15 +46,14 @@ class Deployment {
   MetaService& meta() { return meta_; }
 
   /// Resource path a write from `node` to `flatTarget` crosses.
-  std::vector<sim::ResourceIndex> writePath(std::size_t node, std::size_t flatTarget) const;
+  sim::FlowPath writePath(std::size_t node, std::size_t flatTarget) const;
 
   /// Resource path of a server-side forward from `fromTarget`'s host to
   /// `toTarget` (mirror replication and background resync).  Server NICs are
   /// full duplex: the transmit direction on the source host does not contend
   /// with the client traffic it receives, so the forward leg only crosses
   /// the backbone and the *receiving* host's NIC/OSS/OST.
-  std::vector<sim::ResourceIndex> replicaPath(std::size_t fromTarget,
-                                              std::size_t toTarget) const;
+  sim::FlowPath replicaPath(std::size_t fromTarget, std::size_t toTarget) const;
 
   // -- Client-state hooks used by the IOR runner. ------------------------
 

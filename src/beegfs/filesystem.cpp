@@ -264,28 +264,28 @@ void FileSystem::transferAsync(std::size_t node, FileHandle handle, util::Bytes 
   }
   BEESIM_ASSERT(flowsToStart > 0, "transfer touched no target");
 
-  auto transfer = std::make_shared<TransferState>();
-  transfer->node = node;
-  transfer->handleValue = handle.value;
-  transfer->isWrite = isWrite;
-  transfer->queueWeight = queueWeight;
-  transfer->pendingChunks = flowsToStart;
-  transfer->done = std::move(done);
+  const auto transfer = allocateTransfer();
+  auto& state = transferAt(transfer);
+  state.node = node;
+  state.handleValue = handle.value;
+  state.isWrite = isWrite;
+  state.queueWeight = queueWeight;
+  state.pendingChunks = flowsToStart;
+  state.done = std::move(done);
   for (std::size_t slot = 0; slot < perTarget.size(); ++slot) {
     if (perTarget[slot] == 0) continue;
     issueChunk(transfer, slot, perTarget[slot], /*failedAt=*/-1.0);
   }
 }
 
-void FileSystem::issueChunk(const std::shared_ptr<TransferState>& transfer,
-                            std::size_t stripeSlot, util::Bytes bytes,
+void FileSystem::issueChunk(TransferId transfer, std::size_t stripeSlot, util::Bytes bytes,
                             util::Seconds failedAt) {
   // QoS admission gates the write path only, and only first attempts: a
   // re-issue after a timeout/failover carries bytes whose tokens were spent
   // at the original admission, so the retry ladder can never double-spend.
-  if (qos_ != nullptr && transfer->isWrite && failedAt < 0.0) {
+  if (qos_ != nullptr && failedAt < 0.0 && transferAt(transfer).isWrite) {
     const bool admitted = qos_->admitChunk(
-        transfer->node, bytes, [this, transfer, stripeSlot, bytes] {
+        transferAt(transfer).node, bytes, [this, transfer, stripeSlot, bytes] {
           issueChunkAdmitted(transfer, stripeSlot, bytes, /*failedAt=*/-1.0);
         });
     if (!admitted) return;  // deferred; the manager resumes it
@@ -293,9 +293,8 @@ void FileSystem::issueChunk(const std::shared_ptr<TransferState>& transfer,
   issueChunkAdmitted(transfer, stripeSlot, bytes, failedAt);
 }
 
-void FileSystem::issueChunkAdmitted(const std::shared_ptr<TransferState>& transfer,
-                                    std::size_t stripeSlot, util::Bytes bytes,
-                                    util::Seconds failedAt) {
+void FileSystem::issueChunkAdmitted(TransferId transfer, std::size_t stripeSlot,
+                                    util::Bytes bytes, util::Seconds failedAt) {
   const auto& policy = deployment_.params().faults;
   auto& fluid = deployment_.fluid();
 
@@ -306,9 +305,13 @@ void FileSystem::issueChunkAdmitted(const std::shared_ptr<TransferState>& transf
     return;
   }
 
-  const auto& file = files_[transfer->handleValue];
+  const auto& state = transferAt(transfer);
+  const std::size_t node = state.node;
+  const bool isWrite = state.isWrite;
+  const double queueWeight = state.queueWeight;
+  const auto& file = files_[state.handleValue];
   std::size_t target = file.pattern.targets()[stripeSlot];
-  if (const auto sub = substitutes_.find({transfer->handleValue, stripeSlot});
+  if (const auto sub = substitutes_.find({state.handleValue, stripeSlot});
       sub != substitutes_.end()) {
     target = sub->second;
   }
@@ -338,9 +341,9 @@ void FileSystem::issueChunkAdmitted(const std::shared_ptr<TransferState>& transf
 
   // Rewrites charge usage again: the blocks written before the failure are
   // not reclaimed by the model (they leak until an offline cleanup).
-  if (transfer->isWrite) deployment_.mgmt().recordUsage(target, bytes);
+  if (isWrite) deployment_.mgmt().recordUsage(target, bytes);
 
-  if (deployment_.params().hedge.enabled && transfer->isWrite) {
+  if (deployment_.params().hedge.enabled && isWrite) {
     // Track the chunk for hedging: the original leg resolves through the
     // track so a later hedge leg and it race cleanly (first wins).
     auto track = std::make_shared<HedgeTrack>();
@@ -351,9 +354,9 @@ void FileSystem::issueChunkAdmitted(const std::shared_ptr<TransferState>& transf
     track->failedAt = failedAt;
     track->tried.push_back(target);
     track->primaryFlow = fluid.startFlow(sim::FlowSpec{
-        .path = deployment_.writePath(transfer->node, target),
+        .path = deployment_.writePath(node, target),
         .bytes = bytes,
-        .queueWeight = transfer->queueWeight,
+        .queueWeight = queueWeight,
         .rateCap = 0.0,
         .onComplete =
             [this, track](const sim::FlowStats& s) {
@@ -368,25 +371,31 @@ void FileSystem::issueChunkAdmitted(const std::shared_ptr<TransferState>& transf
     return;
   }
 
+  // A first attempt's closure is `this` plus the handle, which
+  // std::function stores inline; only a re-issue also carries failedAt.
+  std::function<void(const sim::FlowStats&)> onComplete;
+  if (failedAt < 0.0) {
+    onComplete = [this, transfer](const sim::FlowStats&) { finishChunk(transfer); };
+  } else {
+    onComplete = [this, transfer, failedAt](const sim::FlowStats& stats) {
+      faultStats_.degradedTime += stats.endTime - failedAt;
+      finishChunk(transfer);
+    };
+  }
   const auto flow = fluid.startFlow(sim::FlowSpec{
-      .path = deployment_.writePath(transfer->node, target),
+      .path = deployment_.writePath(node, target),
       .bytes = bytes,
-      .queueWeight = transfer->queueWeight,
+      .queueWeight = queueWeight,
       .rateCap = 0.0,
-      .onComplete =
-          [this, transfer, failedAt](const sim::FlowStats& stats) {
-            if (failedAt >= 0.0) faultStats_.degradedTime += stats.endTime - failedAt;
-            finishChunk(transfer);
-          },
+      .onComplete = std::move(onComplete),
   });
   if (policy.mode != ClientFaultPolicy::Mode::kNone) {
     armWatchdog(transfer, stripeSlot, bytes, target, flow, failedAt);
   }
 }
 
-void FileSystem::armWatchdog(const std::shared_ptr<TransferState>& transfer,
-                             std::size_t stripeSlot, util::Bytes bytes, std::size_t target,
-                             sim::FlowId flow, util::Seconds failedAt) {
+void FileSystem::armWatchdog(TransferId transfer, std::size_t stripeSlot, util::Bytes bytes,
+                             std::size_t target, sim::FlowId flow, util::Seconds failedAt) {
   auto& fluid = deployment_.fluid();
   fluid.engine().scheduleAfter(
       deployment_.params().faults.ioTimeout,
@@ -416,9 +425,8 @@ void FileSystem::armWatchdog(const std::shared_ptr<TransferState>& transfer,
       });
 }
 
-void FileSystem::scheduleRetry(const std::shared_ptr<TransferState>& transfer,
-                               std::size_t stripeSlot, util::Bytes bytes, std::size_t target,
-                               int attempt, util::Seconds failedAt) {
+void FileSystem::scheduleRetry(TransferId transfer, std::size_t stripeSlot, util::Bytes bytes,
+                               std::size_t target, int attempt, util::Seconds failedAt) {
   const auto& policy = deployment_.params().faults;
   const util::Seconds wait =
       policy.backoffBase * std::pow(policy.backoffFactor, static_cast<double>(attempt));
@@ -445,8 +453,7 @@ void FileSystem::scheduleRetry(const std::shared_ptr<TransferState>& transfer,
       });
 }
 
-void FileSystem::failOverChunk(const std::shared_ptr<TransferState>& transfer,
-                               std::size_t stripeSlot, util::Bytes bytes,
+void FileSystem::failOverChunk(TransferId transfer, std::size_t stripeSlot, util::Bytes bytes,
                                util::Seconds failedAt, bool rewrite) {
   const auto online = deployment_.mgmt().onlineTargets();
   if (online.empty()) {
@@ -458,17 +465,43 @@ void FileSystem::failOverChunk(const std::shared_ptr<TransferState>& transfer,
   }
   const auto pick = online[static_cast<std::size_t>(
       rng_.uniformInt(0, static_cast<std::int64_t>(online.size()) - 1))];
-  substitutes_[{transfer->handleValue, stripeSlot}] = pick;
+  substitutes_[{transferAt(transfer).handleValue, stripeSlot}] = pick;
   ++faultStats_.failovers;
   if (rewrite) faultStats_.bytesRewritten += bytes;
   issueChunk(transfer, stripeSlot, bytes, failedAt);
 }
 
-void FileSystem::finishChunk(const std::shared_ptr<TransferState>& transfer) {
-  BEESIM_ASSERT(transfer->pendingChunks > 0, "transfer completion underflow");
-  if (--transfer->pendingChunks == 0 && transfer->done) {
-    transfer->done(deployment_.fluid().now());
+FileSystem::TransferId FileSystem::allocateTransfer() {
+  if (freeTransfers_.empty()) {
+    freeTransfers_.push_back(static_cast<std::uint32_t>(transfers_.size()));
+    transfers_.emplace_back();
   }
+  const auto slot = freeTransfers_.back();
+  freeTransfers_.pop_back();
+  auto& state = transfers_[slot];
+  state.id = slot | std::uint64_t{++state.generation} << 32;
+  return TransferId{state.id};
+}
+
+FileSystem::TransferState& FileSystem::transferAt(TransferId id) {
+  const auto slot = static_cast<std::uint32_t>(id.value);
+  BEESIM_ASSERT(slot < transfers_.size() && transfers_[slot].id == id.value && id.value != 0,
+                "stale transfer handle");
+  return transfers_[slot];
+}
+
+void FileSystem::finishChunk(TransferId transfer) {
+  auto& state = transferAt(transfer);
+  BEESIM_ASSERT(state.pendingChunks > 0, "transfer completion underflow");
+  if (--state.pendingChunks > 0) return;
+  // done may start the next transfer, which can grow the table: run it from
+  // a local, and free the slot only afterwards.
+  const auto done = std::move(state.done);
+  state.done = nullptr;
+  if (done) done(deployment_.fluid().now());
+  auto& freed = transferAt(transfer);
+  freed.id = 0;
+  freeTransfers_.push_back(static_cast<std::uint32_t>(transfer.value));
 }
 
 // -- Hedged writes. ----------------------------------------------------------
@@ -590,9 +623,9 @@ void FileSystem::issueHedge(const std::shared_ptr<HedgeTrack>& track, std::size_
   // chunk's tokens were spent when it was first admitted.
   deployment_.mgmt().recordUsage(alt, track->bytes);
   track->hedgeFlow = fluid.startFlow(sim::FlowSpec{
-      .path = deployment_.writePath(track->transfer->node, alt),
+      .path = deployment_.writePath(transferAt(track->transfer).node, alt),
       .bytes = track->bytes,
-      .queueWeight = track->transfer->queueWeight,
+      .queueWeight = transferAt(track->transfer).queueWeight,
       .rateCap = 0.0,
       .onComplete =
           [this, track](const sim::FlowStats& s) {
@@ -618,7 +651,8 @@ void FileSystem::resolveHedged(const std::shared_ptr<HedgeTrack>& track, bool he
     if (fluid.flowActive(track->primaryFlow)) fluid.cancelFlow(track->primaryFlow);
     // Re-home the slot: later segments address the winner directly instead
     // of re-fighting the gray target chunk by chunk.
-    substitutes_[{track->transfer->handleValue, track->stripeSlot}] = track->hedgeTarget;
+    substitutes_[{transferAt(track->transfer).handleValue, track->stripeSlot}] =
+        track->hedgeTarget;
   } else {
     if (track->hedges > 0) ++hedgeStats_.primaryWins;
     if (track->hedgeFlow.value != 0 && fluid.flowActive(track->hedgeFlow)) {
@@ -650,9 +684,9 @@ bool FileSystem::resyncActive(std::size_t id) const {
   return resync_[id].value != 0;
 }
 
-void FileSystem::issueMirroredChunk(const std::shared_ptr<TransferState>& transfer,
-                                    std::size_t stripeSlot, util::Bytes bytes,
-                                    std::size_t group, util::Seconds failedAt) {
+void FileSystem::issueMirroredChunk(TransferId transfer, std::size_t stripeSlot,
+                                    util::Bytes bytes, std::size_t group,
+                                    util::Seconds failedAt) {
   auto& mgmt = deployment_.mgmt();
   auto& fluid = deployment_.fluid();
   const auto& policy = deployment_.params().faults;
@@ -678,7 +712,11 @@ void FileSystem::issueMirroredChunk(const std::shared_ptr<TransferState>& transf
   // the group needs resync: the primary forwards fresh chunks and only the
   // stale delta (the tracked debt) waits for the background stream, so the
   // debt is bounded by what accrued while the secondary was unreachable.
-  const bool replicate = transfer->isWrite && mgmt.target(entry.secondary).online;
+  const auto& state = transferAt(transfer);
+  const std::size_t node = state.node;
+  const bool isWrite = state.isWrite;
+  const double queueWeight = state.queueWeight;
+  const bool replicate = isWrite && mgmt.target(entry.secondary).online;
   auto chunk = std::make_shared<MirrorChunk>();
   chunk->transfer = transfer;
   chunk->stripeSlot = stripeSlot;
@@ -686,7 +724,7 @@ void FileSystem::issueMirroredChunk(const std::shared_ptr<TransferState>& transf
   chunk->group = group;
   chunk->remainingFlows = replicate ? 2 : 1;
   chunk->failedAt = failedAt;
-  if (transfer->isWrite) {
+  if (isWrite) {
     mgmt.recordUsage(entry.primary, bytes);
     // A degraded group keeps accepting writes single-copy; the secondary is
     // owed the chunk on resync.
@@ -694,9 +732,9 @@ void FileSystem::issueMirroredChunk(const std::shared_ptr<TransferState>& transf
   }
   inflightMirror_[group].push_back(chunk);
   chunk->primaryFlow = fluid.startFlow(sim::FlowSpec{
-      .path = deployment_.writePath(transfer->node, entry.primary),
+      .path = deployment_.writePath(node, entry.primary),
       .bytes = bytes,
-      .queueWeight = transfer->queueWeight,
+      .queueWeight = queueWeight,
       .rateCap = 0.0,
       .onComplete =
           [this, chunk](const sim::FlowStats&) { mirrorFlowDone(chunk, /*primarySide=*/true); },
@@ -708,7 +746,7 @@ void FileSystem::issueMirroredChunk(const std::shared_ptr<TransferState>& transf
     chunk->replicaFlow = fluid.startFlow(sim::FlowSpec{
         .path = deployment_.replicaPath(entry.primary, entry.secondary),
         .bytes = bytes,
-        .queueWeight = transfer->queueWeight,
+        .queueWeight = queueWeight,
         .rateCap = 0.0,
         .onComplete =
             [this, chunk](const sim::FlowStats&) { mirrorFlowDone(chunk, /*primarySide=*/false); },
@@ -806,7 +844,7 @@ void FileSystem::onMirrorTargetOffline(std::size_t target) {
     }
     if (survivorOnline) {
       // Full rewrite: nothing the dead primary received is trusted.
-      if (chunk->transfer->isWrite) faultStats_.bytesRewritten += chunk->bytes;
+      if (transferAt(chunk->transfer).isWrite) faultStats_.bytesRewritten += chunk->bytes;
       issueMirroredChunk(chunk->transfer, chunk->stripeSlot, chunk->bytes, *gid,
                          detectedAt);
       continue;
@@ -832,13 +870,16 @@ void FileSystem::switchMirrorPrimary(std::size_t group) {
       fluid.cancelFlow(chunk->primaryFlow);
       chunk->primaryFlow = sim::FlowId{};
     }
-    if (!chunk->transfer->isWrite) {
+    const auto& state = transferAt(chunk->transfer);
+    const std::size_t node = state.node;
+    const double queueWeight = state.queueWeight;
+    if (!state.isWrite) {
       // Reads simply re-fetch the whole chunk from the surviving copy.
       chunk->remainingFlows = 1;
       chunk->primaryFlow = fluid.startFlow(sim::FlowSpec{
-          .path = deployment_.writePath(chunk->transfer->node, newPrimary),
+          .path = deployment_.writePath(node, newPrimary),
           .bytes = chunk->bytes,
-          .queueWeight = chunk->transfer->queueWeight,
+          .queueWeight = queueWeight,
           .rateCap = 0.0,
           .onComplete = [this, chunk](const sim::FlowStats&) { mirrorFlowDone(chunk, true); },
       });
@@ -860,9 +901,9 @@ void FileSystem::switchMirrorPrimary(std::size_t group) {
     }
     mirrorStats_.bytesResent += resend;
     chunk->primaryFlow = fluid.startFlow(sim::FlowSpec{
-        .path = deployment_.writePath(chunk->transfer->node, newPrimary),
+        .path = deployment_.writePath(node, newPrimary),
         .bytes = resend,
-        .queueWeight = chunk->transfer->queueWeight,
+        .queueWeight = queueWeight,
         .rateCap = 0.0,
         .onComplete = [this, chunk](const sim::FlowStats&) { mirrorFlowDone(chunk, true); },
     });

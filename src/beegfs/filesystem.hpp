@@ -158,9 +158,12 @@ class FileSystem {
   qos::QosManager* qosManager() const { return qos_; }
 
  private:
-  /// Shared bookkeeping of one writeAsync/readAsync call: the operation
-  /// completes when every chunk resolved (successfully or by abort).
+  /// Bookkeeping of one writeAsync/readAsync call: the operation completes
+  /// when every chunk resolved (successfully or by abort).  Transfers live
+  /// in a slot table (transfers_) and are named by a TransferId.
   struct TransferState {
+    std::uint64_t id = 0;          ///< the live handle; 0 while the slot is free
+    std::uint32_t generation = 0;  ///< bumped on every reuse of the slot
     std::size_t node = 0;
     std::size_t handleValue = 0;
     bool isWrite = false;
@@ -168,6 +171,20 @@ class FileSystem {
     std::size_t pendingChunks = 0;
     std::function<void(util::Seconds)> done;
   };
+
+  /// Generation-stamped handle of a table-owned transfer: slot | generation
+  /// << 32.  Chunk closures capture it (with `this`, 16 trivially copyable
+  /// bytes: std::function keeps that inline, so a plain chunk's completion
+  /// allocates nothing); every use checks it is still the slot's tenant.
+  struct TransferId {
+    std::uint64_t value = 0;
+  };
+
+  TransferId allocateTransfer();
+  /// The live transfer `id` names (ContractError for a stale handle).  The
+  /// reference is invalidated by the next allocateTransfer, which a chunk's
+  /// completion may reach through the transfer's `done`.
+  TransferState& transferAt(TransferId id);
 
   void transferAsync(std::size_t node, FileHandle handle, util::Bytes offset,
                      util::Bytes length, double queueWeight, bool isWrite,
@@ -178,33 +195,34 @@ class FileSystem {
   /// QosManager attached, first-attempt write chunks pass through token
   /// admission and may start later (deferred issue); re-issues carry bytes
   /// already paid for and bypass it.
-  void issueChunk(const std::shared_ptr<TransferState>& transfer, std::size_t stripeSlot,
+  void issueChunk(TransferId transfer, std::size_t stripeSlot,
                   util::Bytes bytes, util::Seconds failedAt);
   /// The post-admission half of issueChunk (also the resume target of a
   /// deferred chunk, whose tokens were spent at the wake).
-  void issueChunkAdmitted(const std::shared_ptr<TransferState>& transfer,
-                          std::size_t stripeSlot, util::Bytes bytes, util::Seconds failedAt);
+  void issueChunkAdmitted(TransferId transfer, std::size_t stripeSlot, util::Bytes bytes,
+                          util::Seconds failedAt);
   /// Client I/O timeout: re-armed while the flow runs; on an offline target
   /// it cancels the flow and enters the retry/failover ladder.
-  void armWatchdog(const std::shared_ptr<TransferState>& transfer, std::size_t stripeSlot,
+  void armWatchdog(TransferId transfer, std::size_t stripeSlot,
                    util::Bytes bytes, std::size_t target, sim::FlowId flow,
                    util::Seconds failedAt);
   /// Exponential-backoff wait number `attempt`; retries the original target
   /// if it recovered, else escalates and finally fails over.
-  void scheduleRetry(const std::shared_ptr<TransferState>& transfer, std::size_t stripeSlot,
+  void scheduleRetry(TransferId transfer, std::size_t stripeSlot,
                      util::Bytes bytes, std::size_t target, int attempt,
                      util::Seconds failedAt);
   /// Move the chunk's slot to a surviving target (sampled from rng_).
   /// `rewrite` charges the chunk's bytes to the rewritten counter.
-  void failOverChunk(const std::shared_ptr<TransferState>& transfer, std::size_t stripeSlot,
+  void failOverChunk(TransferId transfer, std::size_t stripeSlot,
                      util::Bytes bytes, util::Seconds failedAt, bool rewrite);
-  /// Mark one chunk resolved; fires the transfer's done when all are.
-  void finishChunk(const std::shared_ptr<TransferState>& transfer);
+  /// Mark one chunk resolved.  The last one fires the transfer's done and
+  /// only then frees its slot.
+  void finishChunk(TransferId transfer);
 
   /// One in-flight plain write chunk tracked for hedging: the original leg
   /// plus at most one live hedge leg; first to land wins, loser cancelled.
   struct HedgeTrack {
-    std::shared_ptr<TransferState> transfer;
+    TransferId transfer;
     std::size_t stripeSlot = 0;
     util::Bytes bytes = 0;
     std::size_t target = 0;       ///< target of the original leg
@@ -240,7 +258,7 @@ class FileSystem {
   /// One in-flight chunk of a mirrored file: a primary flow plus (for
   /// consistent writes) a replica flow; the chunk acks when both landed.
   struct MirrorChunk {
-    std::shared_ptr<TransferState> transfer;
+    TransferId transfer;
     std::size_t stripeSlot = 0;
     util::Bytes bytes = 0;
     std::size_t group = 0;
@@ -250,9 +268,8 @@ class FileSystem {
     util::Seconds failedAt = -1.0;
   };
 
-  void issueMirroredChunk(const std::shared_ptr<TransferState>& transfer,
-                          std::size_t stripeSlot, util::Bytes bytes, std::size_t group,
-                          util::Seconds failedAt);
+  void issueMirroredChunk(TransferId transfer, std::size_t stripeSlot, util::Bytes bytes,
+                          std::size_t group, util::Seconds failedAt);
   void mirrorFlowDone(const std::shared_ptr<MirrorChunk>& chunk, bool primarySide);
   void retireMirrorChunk(const std::shared_ptr<MirrorChunk>& chunk);
   void resolveMirrorChunk(const std::shared_ptr<MirrorChunk>& chunk);
@@ -285,6 +302,10 @@ class FileSystem {
   std::vector<std::vector<std::shared_ptr<MirrorChunk>>> inflightMirror_;
   /// Active background resync flow per group (id 0 == none).
   std::vector<sim::FlowId> resync_;
+  /// The transfer table: slots are reused through freeTransfers_, and a
+  /// slot is freed only after its transfer's done has run.
+  std::vector<TransferState> transfers_;
+  std::vector<std::uint32_t> freeTransfers_;
   /// Per-application write admission (null = unmanaged; see DESIGN.md §2.8).
   qos::QosManager* qos_ = nullptr;
 };

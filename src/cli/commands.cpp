@@ -12,7 +12,6 @@
 #include "core/analytic.hpp"
 #include "core/metrics.hpp"
 #include "beegfs/deployment.hpp"
-#include "beegfs/filesystem.hpp"
 #include "faults/schedule.hpp"
 #include "harness/campaign.hpp"
 #include "sim/trace.hpp"
@@ -239,6 +238,114 @@ void rejectUnknownFlags(const Args& args) {
     throw util::ConfigError("unknown flag(s): " + all);
   }
 }
+
+/// The flow trace export of `beesim run`: attaches a FlowTracer and/or a
+/// RingTraceSink to the traced run and writes the requested files and
+/// per-resource tables when it finishes.
+///
+/// --trace-format=ring swaps the event log onto the bounded-memory binary
+/// ring sink (no per-event maps or formatting during the run); the
+/// FlowTracer -- and its utilization/imbalance tables -- is then only
+/// attached when --metrics-out still needs the sampled series.
+class TraceExport final : public harness::RunProbe {
+ public:
+  struct Options {
+    std::string jsonl;    ///< --trace
+    std::string chrome;   ///< --trace-out
+    std::string metrics;  ///< --metrics-out
+    double metricsDt = 0.1;
+    bool ring = false;
+    std::size_t ringCapacity = 0;
+  };
+
+  TraceExport(Options options, std::ostream& out) : options_(std::move(options)), out_(out) {}
+
+  void attach(sim::FluidSimulator& fluid, const beegfs::Deployment& deployment) override {
+    deployment_ = &deployment;
+    if (options_.ring) ring_.emplace(fluid, options_.ringCapacity);
+    if (!options_.ring || !options_.metrics.empty()) {
+      tracer_.emplace(fluid);
+      if (!options_.metrics.empty() || !options_.chrome.empty()) {
+        tracer_->setMetricsInterval(options_.metricsDt);
+      }
+      const auto& hosts = deployment.cluster().hosts;
+      for (std::size_t h = 0; h < hosts.size(); ++h) {
+        tracer_->trackLink(deployment.serverNicResource(h), hosts[h].name);
+      }
+      // Under the queued metadata model the MDTs are first-class fluid
+      // resources; surface them as named links in the exported series.
+      for (std::size_t m = 0; m < deployment.mdtCount(); ++m) {
+        tracer_->trackLink(deployment.mdtResource(m), "mdt" + std::to_string(m));
+      }
+    }
+  }
+
+  void detach() override {
+    tracer_.reset();
+    ring_.reset();
+  }
+
+  void finish(const harness::RunRecord& record) override {
+    if (!options_.jsonl.empty()) {
+      if (ring_) {
+        ring_->writeJsonl(options_.jsonl);
+        out_ << "trace: wrote " << ring_->size() << " ring records (" << ring_->dropped()
+             << " dropped) to " << options_.jsonl << "\n";
+      } else {
+        tracer_->writeJsonl(options_.jsonl);
+        out_ << "trace: wrote " << tracer_->events().size() << " events to "
+             << options_.jsonl << "\n";
+      }
+    }
+    if (!options_.chrome.empty()) {
+      if (ring_) {
+        ring_->writeChromeTrace(options_.chrome);
+        out_ << "trace: wrote Chrome trace (" << ring_->size() << " ring records, "
+             << ring_->dropped() << " dropped) to " << options_.chrome << "\n";
+      } else {
+        tracer_->writeChromeTrace(options_.chrome);
+        out_ << "trace: wrote Chrome trace (" << tracer_->events().size() << " events, "
+             << tracer_->samples().size() << " samples) to " << options_.chrome << "\n";
+      }
+    }
+    if (!options_.metrics.empty()) {
+      tracer_->writeMetricsCsv(options_.metrics);
+      out_ << "metrics: wrote " << tracer_->samples().size() << " samples (dt="
+           << util::fmt(options_.metricsDt, 3) << " s) to " << options_.metrics << "\n";
+    }
+    if (!tracer_) return;
+    util::TableWriter usage({"resource", "MiB carried", "busy s", "peak MiB/s"});
+    for (const auto& u : tracer_->resourceUsage()) {
+      if (u.mib <= 0.0) continue;
+      usage.addRow({u.name, util::fmt(u.mib, 0), util::fmt(u.busyTime, 2),
+                    util::fmt(u.peakRate, 0)});
+    }
+    out_ << usage.render();
+    // Per-server split of the traced run: the measured view of the paper's
+    // (min,max) balance story.
+    const util::Seconds span = record.ior.end - record.ior.start;
+    const auto& hosts = deployment_->cluster().hosts;
+    std::vector<double> serverMiB;
+    util::TableWriter servers({"server", "MiB", "busy frac"});
+    for (std::size_t h = 0; h < hosts.size(); ++h) {
+      const auto link = deployment_->serverNicResource(h);
+      const double mib = tracer_->resourceMiB(link);
+      const double busy = span > 0.0 ? tracer_->resourceBusyTime(link) / span : 0.0;
+      servers.addRow({hosts[h].name, util::fmt(mib, 0), util::fmt(busy, 3)});
+      serverMiB.push_back(mib);
+    }
+    out_ << servers.render();
+    out_ << "link_imbalance (max/mean server MiB): "
+         << util::fmt(core::linkImbalance(serverMiB), 3) << "\n";
+  }
+
+ private:
+  Options options_;
+  std::ostream& out_;
+  const beegfs::Deployment* deployment_ = nullptr;
+  std::optional<sim::RingTraceSink> ring_;
+  std::optional<sim::FlowTracer> tracer_;
+};
 
 }  // namespace
 
@@ -527,87 +634,25 @@ int cmdRun(const Args& args, std::ostream& out) {
   }
 
   if (!traceFile.empty() || !traceOut.empty() || !metricsOut.empty()) {
-    // One extra traced run (same seed as the campaign root) with the flow
-    // timeline exported as JSONL and/or Chrome-trace JSON, an optional
-    // virtual-time metrics series, and a per-resource traffic decomposition.
-    //
-    // --trace-format=ring swaps the event log onto the bounded-memory binary
-    // ring sink (no per-event maps or formatting during the run); the
-    // FlowTracer -- and its utilization/imbalance tables -- is then only
-    // attached when --metrics-out still needs the sampled series.
-    util::Rng rng(seed);
-    sim::FluidSimulator fluid;
-    if (config.solverEpsilon > 0.0) fluid.setSolverEpsilon(config.solverEpsilon);
-    beegfs::Deployment deployment(fluid, cluster, config.fs, rng.split());
-    beegfs::FileSystem fs(deployment, rng.split());
-    const bool ringMode = traceFormat == "ring";
-    std::optional<sim::RingTraceSink> ring;
-    std::optional<sim::FlowTracer> tracer;
-    if (ringMode) ring.emplace(fluid, ringCap);
-    if (!ringMode || !metricsOut.empty()) {
-      tracer.emplace(fluid);
-      if (!metricsOut.empty() || !traceOut.empty()) tracer->setMetricsInterval(metricsDt);
-      for (std::size_t h = 0; h < cluster.hosts.size(); ++h) {
-        tracer->trackLink(deployment.serverNicResource(h), cluster.hosts[h].name);
-      }
-      // Under the queued metadata model the MDTs are first-class fluid
-      // resources; surface them as named links in the exported series.
-      for (std::size_t m = 0; m < deployment.mdtCount(); ++m) {
-        tracer->trackLink(deployment.mdtResource(m), "mdt" + std::to_string(m));
-      }
-    }
-    const auto traced = ior::runIor(fs, config.job, config.ior);
-    if (!traceFile.empty()) {
-      if (ring) {
-        ring->writeJsonl(traceFile);
-        out << "trace: wrote " << ring->size() << " ring records (" << ring->dropped()
-            << " dropped) to " << traceFile << "\n";
-      } else {
-        tracer->writeJsonl(traceFile);
-        out << "trace: wrote " << tracer->events().size() << " events to " << traceFile
-            << "\n";
-      }
-    }
-    if (!traceOut.empty()) {
-      if (ring) {
-        ring->writeChromeTrace(traceOut);
-        out << "trace: wrote Chrome trace (" << ring->size() << " ring records, "
-            << ring->dropped() << " dropped) to " << traceOut << "\n";
-      } else {
-        tracer->writeChromeTrace(traceOut);
-        out << "trace: wrote Chrome trace (" << tracer->events().size() << " events, "
-            << tracer->samples().size() << " samples) to " << traceOut << "\n";
-      }
-    }
-    if (!metricsOut.empty()) {
-      tracer->writeMetricsCsv(metricsOut);
-      out << "metrics: wrote " << tracer->samples().size() << " samples (dt="
-          << util::fmt(metricsDt, 3) << " s) to " << metricsOut << "\n";
-    }
-    if (tracer) {
-      util::TableWriter usage({"resource", "MiB carried", "busy s", "peak MiB/s"});
-      for (const auto& u : tracer->resourceUsage()) {
-        if (u.mib <= 0.0) continue;
-        usage.addRow({u.name, util::fmt(u.mib, 0), util::fmt(u.busyTime, 2),
-                      util::fmt(u.peakRate, 0)});
-      }
-      out << usage.render();
-      // Per-server split of the traced run: the measured view of the paper's
-      // (min,max) balance story.
-      const util::Seconds span = traced.end - traced.start;
-      std::vector<double> serverMiB;
-      util::TableWriter servers({"server", "MiB", "busy frac"});
-      for (std::size_t h = 0; h < cluster.hosts.size(); ++h) {
-        const auto link = deployment.serverNicResource(h);
-        const double mib = tracer->resourceMiB(link);
-        const double busy = span > 0.0 ? tracer->resourceBusyTime(link) / span : 0.0;
-        servers.addRow({cluster.hosts[h].name, util::fmt(mib, 0), util::fmt(busy, 3)});
-        serverMiB.push_back(mib);
-      }
-      out << servers.render();
-      out << "link_imbalance (max/mean server MiB): "
-          << util::fmt(core::linkImbalance(serverMiB), 3) << "\n";
-    }
+    // One extra traced run: campaign rep 0 again, through the same runOnce
+    // with the same seed and start time, so the trace shows exactly the run
+    // the campaign reports.
+    util::Rng planRng(seed);
+    const auto plan = harness::buildProtocolPlan(entries.size(), protocol, planRng);
+    const auto first = std::find_if(plan.begin(), plan.end(),
+                                    [](const auto& p) { return p.repetition == 0; });
+    BEESIM_ASSERT(first != plan.end(), "the campaign plan has no first repetition");
+    TraceExport probe({.jsonl = traceFile,
+                       .chrome = traceOut,
+                       .metrics = metricsOut,
+                       .metricsDt = metricsDt,
+                       .ring = traceFormat == "ring",
+                       .ringCapacity = ringCap},
+                      out);
+    auto traced = config;
+    traced.observe.probe = &probe;
+    out << "traced run: rep 0 (seed " << first->seed << ")\n";
+    harness::runOnce(traced, first->seed, first->systemTime);
   }
   return 0;
 }

@@ -66,6 +66,13 @@ RunRecord runOnce(const RunConfig& config, std::uint64_t seed, util::Seconds sta
   std::optional<sim::FlowTracer> tracer;
   if (config.observe.utilization) tracer.emplace(fluid);
   if (config.observe.profile) fluid.setProfiling(true);
+  struct ProbeGuard {
+    RunProbe* probe;
+    ~ProbeGuard() {
+      if (probe != nullptr) probe->detach();
+    }
+  } probeGuard{config.observe.probe};
+  if (probeGuard.probe != nullptr) probeGuard.probe->attach(fluid, deployment);
 
   // The rebalance controller attaches its own tracer through the same
   // observer hub; with rebalancing off nothing is constructed, so default
@@ -183,6 +190,7 @@ RunRecord runOnce(const RunConfig& config, std::uint64_t seed, util::Seconds sta
   record.solveSeconds = fluid.solveSeconds();
   record.wallSeconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wallStart).count();
+  if (probeGuard.probe != nullptr) probeGuard.probe->finish(record);
   return record;
 }
 

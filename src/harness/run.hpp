@@ -21,7 +21,37 @@
 #include "qos/manager.hpp"
 #include "topology/cluster.hpp"
 
+namespace beesim::sim {
+class FluidSimulator;
+}
+
+namespace beesim::beegfs {
+class Deployment;
+}
+
 namespace beesim::harness {
+
+struct RunRecord;
+
+/// A caller-owned look into one run's live system: the flow trace export of
+/// `beesim run --trace/--trace-out/--metrics-out` attaches through it, so
+/// the trace shows exactly the run the campaign reports (noise, faults,
+/// QoS, controllers and all).  Observers only read events, so a probed run
+/// is bitwise identical to an unprobed one.
+class RunProbe {
+ public:
+  RunProbe() = default;
+  RunProbe(const RunProbe&) = delete;
+  RunProbe& operator=(const RunProbe&) = delete;
+  virtual ~RunProbe() = default;
+  /// The system is built; no fault is armed and the job has not launched.
+  virtual void attach(sim::FluidSimulator& fluid, const beegfs::Deployment& deployment) = 0;
+  /// The run drained and `record` is complete.
+  virtual void finish(const RunRecord& record) = 0;
+  /// The last call for an attached run, also when the run throws, and
+  /// while the simulator still exists: detach what attach attached.
+  virtual void detach() = 0;
+};
 
 /// Per-run environment noise: the "mood" of the production system, sampled
 /// once per repetition as log-normal factors on network links and storage
@@ -31,7 +61,7 @@ struct NoiseSpec {
   double storageSigmaLog = 0.04;
 };
 
-/// Per-run observability switches.  Both default off: a run with the
+/// Per-run observability switches.  All default off: a run with the
 /// defaults attaches no observer and never calls the host clock, so the
 /// fluid core's hot path is untouched (and campaign CSVs keep their exact
 /// legacy bytes).
@@ -42,6 +72,9 @@ struct ObservabilityOptions {
   /// Measure solver wall time (FluidSimulator::setProfiling) and per-run
   /// wall time into RunRecord.
   bool profile = false;
+  /// Caller-owned probe of the run's live system (null: none).  Must
+  /// outlive the run; one probe serves one run at a time.
+  RunProbe* probe = nullptr;
 };
 
 /// Everything needed to execute one benchmark run.

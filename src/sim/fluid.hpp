@@ -65,8 +65,10 @@
 // per-flow rule, and asserts each equals its cohort's bit for bit.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -76,6 +78,7 @@
 
 #include "sim/maxmin.hpp"
 #include "sim/simulator.hpp"
+#include "util/error.hpp"
 #include "util/units.hpp"
 
 namespace beesim::sim {
@@ -129,10 +132,41 @@ struct FlowStats {
   }
 };
 
+/// The resources a flow crosses, held inline so that building a flow spec
+/// and handing it to startFlow never touches the heap.  The deepest path the
+/// model builds has six hops (client -> node NIC -> backbone -> server NIC
+/// -> OSS -> OST); pushing past kCapacity is a ContractError.  A value type:
+/// copies are independent.
+class FlowPath {
+ public:
+  static constexpr std::size_t kCapacity = 8;
+
+  FlowPath() = default;
+  FlowPath(std::initializer_list<ResourceIndex> resources) {
+    for (const auto r : resources) push_back(r);
+  }
+
+  void push_back(ResourceIndex r) {
+    BEESIM_ASSERT(size_ < kCapacity, "flow path longer than FlowPath::kCapacity");
+    items_[size_++] = r;
+  }
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const ResourceIndex* begin() const { return items_.data(); }
+  const ResourceIndex* end() const { return items_.data() + size_; }
+  const ResourceIndex& operator[](std::size_t i) const { return items_[i]; }
+  operator std::span<const ResourceIndex>() const { return {items_.data(), size_}; }
+
+ private:
+  std::array<ResourceIndex, kCapacity> items_{};
+  std::uint32_t size_ = 0;
+};
+
 struct FlowSpec {
   /// Resources the flow crosses (e.g. client -> node NIC -> server NIC ->
   /// service -> device).  Must be non-empty.
-  std::vector<ResourceIndex> path;
+  FlowPath path;
   /// Total bytes to transfer.  Zero-byte flows complete immediately.
   util::Bytes bytes = 0;
   /// Contribution to the queueDepth of every crossed resource, and the

@@ -202,6 +202,7 @@ void SolverWorkspace::compileClasses(const SolverView& view,
   out.weight = classes.empty() ? 0.0 : view.weight[classes.front()];
   out.slot.clear();
   out.rateCap.clear();
+  out.capped.clear();
   out.adjOffset.clear();
   out.adjLen.clear();
   out.adjacency.clear();
@@ -213,6 +214,7 @@ void SolverWorkspace::compileClasses(const SolverView& view,
     BEESIM_ASSERT(view.weight[c] > 0.0, "flow weight must be positive");
     BEESIM_ASSERT(view.weight[c] == out.weight, "flow classes of one solve must share a weight");
     const auto* adj = view.adjacency.data() + view.adjOffset[c];
+    if (view.rateCap[c] > 0.0) out.capped.push_back(static_cast<std::uint32_t>(out.slot.size()));
     out.slot.push_back(c);
     out.rateCap.push_back(view.rateCap[c]);
     out.adjOffset.push_back(static_cast<std::uint32_t>(out.adjacency.size()));
@@ -254,6 +256,9 @@ std::size_t SolverWorkspace::solveCompiled(const CompiledClasses& problem,
   const std::size_t m = problem.resource.size();
   if (n == 0) return 0;
   const double w = problem.weight;
+  // Frozen classes carry this solve's stamp; a class is filling otherwise.
+  const std::uint64_t frozenMark = ++stamp_;
+  cFrozen_.resize(std::max(cFrozen_.size(), n), 0);
 
   // Fresh capacities.  A class crossing a zero-capacity resource is dead:
   // rate 0, no weight anywhere.  Without dead classes a resource's member
@@ -275,16 +280,10 @@ std::size_t SolverWorkspace::solveCompiled(const CompiledClasses& problem,
   for (std::size_t d = 0; d < m; ++d) {
     rActiveCount_[d] = countClasses ? 0 : resourceCount[problem.resource[d]];
   }
-  fRate_.assign(n, 0.0);
-  fActiveW_.resize(n);
-  fCapOrInf_.resize(n);
-  fMult_.resize(n);
-  cappedList_.clear();
   std::size_t active = 0;
   for (std::size_t j = 0; j < n; ++j) {
     const auto mult = multiplicity[problem.slot[j]];
     BEESIM_ASSERT(mult > 0, "a flow class needs at least one member");
-    fMult_[j] = mult;
     const auto* adj = problem.adjacency.data() + problem.adjOffset[j];
     bool dead = false;
     if (anyZero) {
@@ -293,18 +292,18 @@ std::size_t SolverWorkspace::solveCompiled(const CompiledClasses& problem,
       }
     }
     if (dead) {
-      fActiveW_[j] = 0.0;
-      fCapOrInf_[j] = kInf;
+      cFrozen_[j] = frozenMark;
+      rates[problem.slot[j]] = 0.0;
       continue;
     }
     ++active;
-    fActiveW_[j] = w;
-    const double cap = problem.rateCap[j];
-    fCapOrInf_[j] = cap > 0.0 ? cap : kInf;
-    if (cap > 0.0) cappedList_.push_back(static_cast<std::uint32_t>(j));
     if (countClasses) {
       for (std::uint32_t k = 0; k < problem.adjLen[j]; ++k) rActiveCount_[adj[k]] += mult;
     }
+  }
+  cappedList_.clear();
+  for (const auto j : problem.capped) {
+    if (cFrozen_[j] != frozenMark) cappedList_.push_back(j);
   }
   // Active weights from the sequential-sum table (header comment).
   std::uint32_t maxCount = 0;
@@ -312,17 +311,15 @@ std::size_t SolverWorkspace::solveCompiled(const CompiledClasses& problem,
   ensureWeightSums(w, maxCount);
   for (std::size_t d = 0; d < m; ++d) rActiveWeight_[d] = weightSums_[rActiveCount_[d]];
 
-  std::size_t newlyFrozen = 0;
+  // Every filling class holds the same rate, `level`: it started at 0.0
+  // and received the same `+= delta * w` as every other.  A class takes
+  // the level as its rate when it freezes.
+  double level = 0.0;
   const auto freeze = [&](std::uint32_t j) {
-    ++newlyFrozen;
     --active;
-    const auto* adj = problem.adjacency.data() + problem.adjOffset[j];
-    for (std::uint32_t k = 0; k < problem.adjLen[j]; ++k) {
-      if (rFreezing_[adj[k]] == 0) freezing_.push_back(adj[k]);
-      rFreezing_[adj[k]] += fMult_[j];
-    }
-    fActiveW_[j] = 0.0;
-    fCapOrInf_[j] = kInf;
+    cFrozen_[j] = frozenMark;
+    rates[problem.slot[j]] = level;
+    frozenNow_.push_back(j);
   };
 
   std::size_t iterations = 0;
@@ -330,8 +327,8 @@ std::size_t SolverWorkspace::solveCompiled(const CompiledClasses& problem,
     ++iterations;
 
     // Same delta, increment and saturation arithmetic as the per-flow
-    // solve (see solveSubset); frozen and uncapped classes contribute +inf
-    // to the cap scan, so it only visits filling capped classes.
+    // solve (see solveSubset), with the level standing in for every
+    // filling class's rate; only filling capped classes bound delta.
     double delta = kInf;
     for (std::size_t d = 0; d < m; ++d) {
       const double aw = rActiveWeight_[d];
@@ -339,13 +336,13 @@ std::size_t SolverWorkspace::solveCompiled(const CompiledClasses& problem,
       if (c < delta) delta = c;
     }
     for (const auto j : cappedList_) {
-      const double c = (fCapOrInf_[j] - fRate_[j]) / w;
+      const double c = (problem.rateCap[j] - level) / w;
       if (c < delta) delta = c;
     }
     BEESIM_ASSERT(delta < kInf, "progressive filling found no bottleneck");
     delta = std::max(delta, 0.0);
 
-    for (std::size_t j = 0; j < n; ++j) fRate_[j] += delta * fActiveW_[j];
+    level += delta * w;
     for (std::size_t d = 0; d < m; ++d) rResidual_[d] -= delta * rActiveWeight_[d];
 
     // A resource saturates at most once: every class crossing it freezes in
@@ -360,30 +357,39 @@ std::size_t SolverWorkspace::solveCompiled(const CompiledClasses& problem,
         saturating_.push_back(static_cast<std::uint32_t>(d));
       }
     }
-    newlyFrozen = 0;
+    frozenNow_.clear();
     for (const auto d : saturating_) {
       for (auto k = problem.resClassOffset[d]; k < problem.resClassOffset[d + 1]; ++k) {
         const auto j = problem.resClasses[k];
-        if (fActiveW_[j] > 0.0) freeze(j);
+        if (cFrozen_[j] != frozenMark) freeze(j);
       }
     }
     for (std::size_t i = 0; i < cappedList_.size();) {
       const auto j = cappedList_[i];
-      const double cap = fCapOrInf_[j];
-      if (cap < kInf && fRate_[j] >= cap - kEps * std::max(1.0, cap)) freeze(j);
-      if (fActiveW_[j] == 0.0) {
+      const double cap = problem.rateCap[j];
+      if (cFrozen_[j] != frozenMark && level >= cap - kEps * std::max(1.0, cap)) freeze(j);
+      if (cFrozen_[j] == frozenMark) {
         cappedList_[i] = cappedList_.back();
         cappedList_.pop_back();
       } else {
         ++i;
       }
     }
-    BEESIM_ASSERT(newlyFrozen > 0, "progressive filling made no progress");
+    BEESIM_ASSERT(!frozenNow_.empty(), "progressive filling made no progress");
+    if (active == 0) break;  // no weight left to release
 
     // Release the frozen members' weight: one subtraction of w per member,
     // as the expanded flows would do (all on a resource are the same w, so
     // batching them per resource keeps the result), or exactly 0.0 once no
     // member is left -- skipping the chain entirely.
+    for (const auto j : frozenNow_) {
+      const auto mult = multiplicity[problem.slot[j]];
+      const auto* adj = problem.adjacency.data() + problem.adjOffset[j];
+      for (std::uint32_t k = 0; k < problem.adjLen[j]; ++k) {
+        if (rFreezing_[adj[k]] == 0) freezing_.push_back(adj[k]);
+        rFreezing_[adj[k]] += mult;
+      }
+    }
     for (const auto d : freezing_) {
       const auto frozen = rFreezing_[d];
       rFreezing_[d] = 0;
@@ -396,8 +402,6 @@ std::size_t SolverWorkspace::solveCompiled(const CompiledClasses& problem,
     }
     freezing_.clear();
   }
-
-  for (std::size_t j = 0; j < n; ++j) rates[problem.slot[j]] = fRate_[j];
   return iterations;
 }
 

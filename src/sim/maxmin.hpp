@@ -51,6 +51,17 @@
 // so even the iteration count is unchanged.  With mixed weights the order of
 // the per-flow additions matters, so callers solve such subsets flow by flow.
 //
+// One fill level: at one weight every filling class starts at 0.0 and
+// receives the same `+= delta * w`, so the class solve keeps a single scalar
+// `level` for all of them.  A class takes the level as its rate when it
+// freezes (a dead class takes 0.0) and is not touched again -- frozen
+// classes no longer receive `+= delta * 0.0`.  Cap candidates are
+// `(cap - level) / w` over the compiled list of capped classes, frozen
+// classes carry the solve's stamp, and the weight release -- the only walk
+// over a freezing class's path -- is skipped once no class is left filling.  These are the per-class operations on the same
+// values, so an iteration costs O(resources + capped + freezing classes)
+// rather than O(resources + classes) and the results keep their bits.
+//
 // A class problem is solved in two steps.  compileClasses does everything
 // that depends only on the class set -- the dense renumbering of resources,
 // the per-class adjacency and its resource->class transpose -- and
@@ -130,6 +141,7 @@ struct CompiledClasses {
   // Per class, in compiled order.
   std::vector<std::uint32_t> slot;       // the caller's class slot
   std::vector<double> rateCap;           // <= 0: uncapped
+  std::vector<std::uint32_t> capped;     // the classes with rateCap > 0
   std::vector<std::uint32_t> adjOffset;  // into adjacency
   std::vector<std::uint32_t> adjLen;
   std::vector<std::uint32_t> adjacency;  // dense resource ids
@@ -217,7 +229,7 @@ class SolverWorkspace {
   std::vector<char> rSaturated_;
   std::vector<std::uint32_t> saturating_;  // resources saturated this iteration
   std::vector<std::uint32_t> freezing_;    // resources with rFreezing_ > 0
-  // Per dense flow (or compiled class).  fActiveW holds the weight while the
+  // Per dense flow (per-flow solve).  fActiveW holds the weight while the
   // flow is filling and exactly 0.0 once frozen (so the increment loop is
   // branch-free); fCapOrInf holds the rate cap while the flow is filling
   // *and* capped, +inf otherwise (so the cap scan is branch-free and frozen
@@ -231,8 +243,11 @@ class SolverWorkspace {
   std::vector<std::uint32_t> fAdjLen_;
   std::vector<std::uint32_t> denseAdj_;
   std::vector<std::uint32_t> activeList_;  // per-flow solve: filling flows
-  std::vector<std::uint32_t> cappedList_;  // class solve: filling capped classes
-  std::vector<std::uint32_t> fMult_;
+  // Class solve: filling capped classes, the classes frozen this
+  // iteration, and per class the stamp of the solve that froze it.
+  std::vector<std::uint32_t> cappedList_;
+  std::vector<std::uint32_t> frozenNow_;
+  std::vector<std::uint64_t> cFrozen_;
   std::vector<double> weightSums_;
   double weightSumsOf_ = 0.0;
   CompiledClasses scratchClasses_;  // solveSubset's class problem

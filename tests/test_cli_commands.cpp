@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 
 namespace beesim::cli {
@@ -191,6 +192,27 @@ TEST(Cli, RunExportsChromeTraceAndMetrics) {
                         "0"});
   EXPECT_EQ(bad.code, 1);
   EXPECT_NE(bad.err.find("--metrics-dt must be > 0"), std::string::npos) << bad.err;
+}
+
+TEST(Cli, RunTracesTheReportedRunUnderFaults) {
+  // The traced run is campaign rep 0 itself: the host crash the campaign
+  // reports shows up in the trace as cancelled chunk flows.
+  const auto path =
+      (std::filesystem::temp_directory_path() / "beesim_cli_fault_trace.jsonl").string();
+  const auto result =
+      run({"run", "--cluster", "plafrim1", "--nodes", "4", "--reps", "1", "--faults",
+           "off:h1@1", "--fault-mode", "degraded", "--trace", path});
+  EXPECT_EQ(result.code, 0) << result.err;
+  EXPECT_NE(result.out.find("failovers=96"), std::string::npos) << result.out;
+  EXPECT_NE(result.out.find("traced run: rep 0"), std::string::npos) << result.out;
+  std::ifstream in(path);
+  std::string line;
+  std::size_t cancels = 0;
+  while (std::getline(in, line)) {
+    if (line.find("\"ev\":\"cancel\"") != std::string::npos) ++cancels;
+  }
+  EXPECT_EQ(cancels, 96u);
+  std::filesystem::remove(path);
 }
 
 TEST(Cli, ErrorsAreReportedNotThrown) {

@@ -379,10 +379,12 @@ struct ClassProblem {
 
 void expandClasses(ClassProblem& p, util::Rng& rng);
 
-ClassProblem randomClassProblem(std::uint64_t seed) {
+/// `bigShare`: the chance that a class gets 1000..10000 members instead of
+/// 1..9 (0 draws nothing extra, so the default instances stay as they were).
+ClassProblem randomClassProblem(std::uint64_t seed, double weight = 0.93 / 3.0,
+                                double bigShare = 0.0) {
   util::Rng rng(seed);
   ClassProblem p;
-  constexpr double kWeight = 0.93 / 3.0;
   // Two or three disconnected resource groups, so the subset is a union of
   // components; ~15% zero-capacity resources.
   const auto groups = static_cast<std::size_t>(rng.uniformInt(2, 3));
@@ -406,10 +408,12 @@ ClassProblem randomClassProblem(std::uint64_t seed) {
     for (const auto r : rng.sampleWithoutReplacement(nRes, pathLen)) {
       p.classes.adjacency.push_back(static_cast<std::uint32_t>(groupStart[g] + r));
     }
-    p.classes.weight.push_back(kWeight);
+    p.classes.weight.push_back(weight);
     p.classes.rateCap.push_back(rng.bernoulli(0.3) ? rng.uniform(1.0, 300.0) : 0.0);
     p.classes.subset.push_back(static_cast<std::uint32_t>(c));
-    p.multiplicity.push_back(static_cast<std::uint32_t>(rng.uniformInt(1, 9)));
+    const bool big = bigShare > 0.0 && rng.bernoulli(bigShare);
+    p.multiplicity.push_back(
+        static_cast<std::uint32_t>(big ? rng.uniformInt(1000, 10000) : rng.uniformInt(1, 9)));
   }
   expandClasses(p, rng);
   return p;
@@ -528,6 +532,83 @@ TEST(SolverSoA, CompiledClassesResolveMatchesExpandedReferenceBitwise) {
   }
   EXPECT_GT(deadRounds, 50u) << "zero capacities must kill classes in many rounds";
   EXPECT_GT(countedRounds, 50u) << "the caller's counts must be read in many rounds";
+}
+
+TEST(SolverSoA, OneLevelFillMatchesExpandedReferenceBitwise) {
+  // The compiled class solve keeps one fill level for every filling class
+  // instead of a rate per class.  Against the per-flow reference walk over
+  // the expanded flows it must still give bit-equal rates in the same
+  // number of iterations: for dyadic and non-dyadic weights, member counts
+  // up to 10^4, caps placed below, exactly at and above the rate at which
+  // the class's bottleneck saturates, zero capacities and disconnected
+  // groups, and re-solves of one compiled problem under changing capacities
+  // and counts.
+  std::size_t deepRounds = 0;
+  std::size_t bigRounds = 0;
+  std::size_t deadRounds = 0;
+  std::size_t tiedCaps = 0;
+  for (const double weight : {0.125, 1.0, 1.0 / 3.0, 1.0 / 6.0, 0.2, 0.93}) {
+    for (std::uint64_t seed = 1300; seed < 1312; ++seed) {
+      auto p = randomClassProblem(seed, weight, 0.1);
+      util::Rng rng(seed * 31 + 5);
+      SolverWorkspace workspace;
+      SolverWorkspace reference;
+      // Caps relative to the uncapped solution: half, exactly, or 1.5x the
+      // class's saturation rate.
+      std::fill(p.classes.rateCap.begin(), p.classes.rateCap.end(), 0.0);
+      std::vector<double> uncapped(p.multiplicity.size(), -1.0);
+      workspace.solveSubset(p.classView(), p.classes.subset, uncapped);
+      for (std::size_t c = 0; c < uncapped.size(); ++c) {
+        if (uncapped[c] <= 0.0 || !rng.bernoulli(0.6)) continue;
+        const auto where = rng.uniformInt(0, 2);
+        p.classes.rateCap[c] = uncapped[c] * (where == 0 ? 0.5 : where == 1 ? 1.0 : 1.5);
+        if (where == 1) ++tiedCaps;
+      }
+      expandClasses(p, rng);
+      CompiledClasses compiled;
+      workspace.compileClasses(p.classes.view(), p.classes.subset, compiled);
+      for (int round = 0; round < 5; ++round) {
+        if (round > 0) {
+          for (auto& cap : p.classes.capacity) {
+            if (rng.bernoulli(0.3)) cap = rng.bernoulli(0.2) ? 0.0 : rng.uniform(10.0, 1000.0);
+          }
+          for (auto& mult : p.multiplicity) {
+            if (rng.bernoulli(0.5)) {
+              mult = static_cast<std::uint32_t>(rng.bernoulli(0.1) ? rng.uniformInt(1000, 10000)
+                                                                  : rng.uniformInt(1, 9));
+            }
+          }
+          expandClasses(p, rng);
+        }
+        std::vector<double> flowRates(p.classOfFlow.size(), -1.0);
+        const auto refIters =
+            reference.solveSubsetReference(p.expanded.view(), p.expanded.subset, flowRates);
+        std::vector<double> classRates(p.multiplicity.size(), -1.0);
+        const auto iters =
+            workspace.solveCompiled(compiled, p.classes.capacity, p.multiplicity, classRates);
+        EXPECT_EQ(iters, refIters) << "weight " << weight << " seed " << seed << " round "
+                                   << round;
+        for (std::size_t f = 0; f < flowRates.size(); ++f) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(classRates[p.classOfFlow[f]]),
+                    std::bit_cast<std::uint64_t>(flowRates[f]))
+              << "weight " << weight << " seed " << seed << " round " << round << " flow "
+              << f << " (class " << p.classOfFlow[f] << ")";
+        }
+        deepRounds += refIters >= 3 ? 1 : 0;
+        bigRounds += *std::max_element(p.multiplicity.begin(), p.multiplicity.end()) >= 1000
+                         ? 1
+                         : 0;
+        deadRounds += std::find(p.classes.capacity.begin(), p.classes.capacity.end(), 0.0) !=
+                              p.classes.capacity.end()
+                          ? 1
+                          : 0;
+      }
+    }
+  }
+  EXPECT_GT(deepRounds, 150u) << "most rounds must fill over at least 3 iterations";
+  EXPECT_GT(bigRounds, 100u) << "many rounds must hold a class of 10^3..10^4 members";
+  EXPECT_GT(deadRounds, 50u) << "zero capacities must kill classes in many rounds";
+  EXPECT_GT(tiedCaps, 40u) << "many caps must sit exactly at a saturation rate";
 }
 
 TEST(SolverSoA, ClassSolveWithUnitMultiplicityIsThePerFlowSolve) {

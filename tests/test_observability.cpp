@@ -3,11 +3,17 @@
 // the utilization/profiling data flowing up into campaign rows and totals.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
+#include <string>
+#include <tuple>
+#include <utility>
 
+#include "faults/schedule.hpp"
 #include "harness/campaign.hpp"
 #include "harness/run.hpp"
 #include "ior/options.hpp"
@@ -15,6 +21,7 @@
 #include "sim/observer_hub.hpp"
 #include "sim/trace.hpp"
 #include "topology/plafrim.hpp"
+#include "util/error.hpp"
 #include "util/json.hpp"
 #include "util/units.hpp"
 
@@ -342,6 +349,156 @@ TEST(Observability, TracedRunsMatchUntracedBitwise) {
   // Only the profiled run pays for (and reports) solver wall time.
   EXPECT_EQ(a.solveSeconds, 0.0);
   EXPECT_GT(b.solveSeconds, 0.0);
+}
+
+/// Attaches a FlowTracer to the probed run and keeps what it saw.
+class TracingProbe final : public RunProbe {
+ public:
+  void attach(sim::FluidSimulator& fluid, const beegfs::Deployment&) override {
+    tracer_.emplace(fluid);
+  }
+  void finish(const RunRecord& record) override {
+    for (const auto& event : tracer_->events()) {
+      if (event.kind == sim::TraceEvent::Kind::kCancel) ++cancels;
+    }
+    finishedRecord = record;
+  }
+  void detach() override {
+    tracer_.reset();
+    ++detaches;
+  }
+
+  std::size_t cancels = 0;
+  std::size_t detaches = 0;
+  std::optional<RunRecord> finishedRecord;
+
+ private:
+  std::optional<sim::FlowTracer> tracer_;
+};
+
+/// Runs `config` as a 3-rep campaign and returns rep 0's record, then reruns
+/// rep 0 through runOnce with `probe` attached and returns that record.
+std::pair<RunRecord, RunRecord> campaignRep0AndProbedRerun(const RunConfig& config,
+                                                           RunProbe& probe) {
+  std::vector<CampaignEntry> entries(1);
+  entries[0].config = config;
+  ProtocolOptions protocol;
+  protocol.repetitions = 3;
+  constexpr std::uint64_t kSeed = 21;
+  std::optional<RunRecord> rep0;
+  ExecutorOptions exec;
+  exec.jobs = 1;
+  (void)executeCampaign(
+      entries, protocol, kSeed,
+      [&](const RunRecord& record, ResultRow& row) {
+        if (row.factors.at("rep") == "0") rep0 = record;
+      },
+      exec);
+  EXPECT_TRUE(rep0.has_value());
+
+  util::Rng planRng(kSeed);
+  const auto plan = buildProtocolPlan(entries.size(), protocol, planRng);
+  const auto first = std::find_if(plan.begin(), plan.end(),
+                                  [](const PlannedRun& p) { return p.repetition == 0; });
+  EXPECT_NE(first, plan.end());
+  auto probed = config;
+  probed.observe.probe = &probe;
+  return {rep0.value_or(RunRecord{}), runOnce(probed, first->seed, first->systemTime)};
+}
+
+TEST(Observability, ProbedRunReproducesCampaignRepUnderEveryLayer) {
+  // The probed rerun of rep 0 must be that rep -- same noise draw, fault
+  // plan, controllers and metadata phase -- bit for bit, whichever opt-in
+  // layers run.
+  // Each variant with a check that its layer actually engaged.
+  using Engaged = bool (*)(const RunRecord&);
+  std::vector<std::tuple<std::string, RunConfig, Engaged>> variants;
+  auto crash = smallConfig();
+  crash.faults.schedule = faults::parseSchedule("off:h1@1");
+  crash.fs.faults.mode = beegfs::ClientFaultPolicy::Mode::kDegraded;
+  variants.emplace_back("host crash", crash,
+                        [](const RunRecord& r) { return r.ior.faults.failovers > 0; });
+  auto mirror = crash;
+  mirror.fs.mirror.enabled = true;
+  mirror.fs.defaultStripe.mirror = true;
+  variants.emplace_back("mirrored host crash", mirror,
+                        [](const RunRecord& r) { return r.ior.mirror.failovers > 0; });
+  auto gray = smallConfig();
+  gray.faults.schedule = faults::parseSchedule("slow:t4@0.5=0.05");
+  gray.fs.faults.mode = beegfs::ClientFaultPolicy::Mode::kDegraded;
+  gray.fs.hedge.enabled = true;
+  gray.health.enabled = true;
+  gray.qos.enabled = true;
+  gray.qos.rate = 800.0;
+  variants.emplace_back("fail-slow, health, hedge, qos", gray, [](const RunRecord& r) {
+    return r.health.samples > 0 && r.ior.hedge.hedgesIssued > 0 && r.qos.tokensIssued > 0;
+  });
+  auto rebalance = smallConfig();
+  rebalance.pinnedTargets = std::vector<std::size_t>{0, 4, 5, 6};  // (1,3)
+  rebalance.rebalance.enabled = true;
+  variants.emplace_back("pinned (1,3) + rebalance", rebalance,
+                        [](const RunRecord& r) { return r.rebalance.triggers > 0; });
+  auto md = smallConfig();
+  md.fs.meta.queued = true;
+  md.fs.meta.mdtCount = 2;
+  md.mdtest = ior::MdtestOptions{};
+  md.mdtest->filesPerRank = 4;
+  variants.emplace_back("queued metadata + mdtest", md,
+                        [](const RunRecord& r) { return r.md.totalOps > 0; });
+
+  for (const auto& [label, config, engaged] : variants) {
+    TracingProbe probe;
+    const auto [rep0, record] = campaignRep0AndProbedRerun(config, probe);
+    SCOPED_TRACE(label);
+    EXPECT_TRUE(engaged(rep0));
+    ASSERT_TRUE(probe.finishedRecord.has_value());
+    EXPECT_EQ(probe.detaches, 1u);
+    EXPECT_EQ(probe.finishedRecord->ior.end, record.ior.end);
+    EXPECT_EQ(record.seed, rep0.seed);
+    EXPECT_EQ(record.environment.network, rep0.environment.network);
+    EXPECT_EQ(record.environment.storage, rep0.environment.storage);
+    EXPECT_EQ(record.ior.targetsUsed, rep0.ior.targetsUsed);
+    EXPECT_EQ(record.ior.start, rep0.ior.start);
+    EXPECT_EQ(record.ior.end, rep0.ior.end);
+    EXPECT_EQ(record.ior.metaTime, rep0.ior.metaTime);
+    EXPECT_EQ(record.ior.bandwidth, rep0.ior.bandwidth);
+    EXPECT_EQ(record.ior.faults.timeouts, rep0.ior.faults.timeouts);
+    EXPECT_EQ(record.ior.faults.failovers, rep0.ior.faults.failovers);
+    EXPECT_EQ(record.ior.faults.bytesRewritten, rep0.ior.faults.bytesRewritten);
+    EXPECT_EQ(record.ior.faults.degradedTime, rep0.ior.faults.degradedTime);
+    EXPECT_EQ(record.ior.mirror.bytesReplicated, rep0.ior.mirror.bytesReplicated);
+    EXPECT_EQ(record.ior.mirror.failovers, rep0.ior.mirror.failovers);
+    EXPECT_EQ(record.ior.hedge.hedgesIssued, rep0.ior.hedge.hedgesIssued);
+    EXPECT_EQ(record.injected.total(), rep0.injected.total());
+    EXPECT_EQ(record.rebalance.triggers, rep0.rebalance.triggers);
+    EXPECT_EQ(record.rebalance.bytesMigrated, rep0.rebalance.bytesMigrated);
+    EXPECT_EQ(record.health.quarantines, rep0.health.quarantines);
+    EXPECT_EQ(record.qos.tokensIssued, rep0.qos.tokensIssued);
+    EXPECT_EQ(record.qos.deferrals, rep0.qos.deferrals);
+    EXPECT_EQ(record.md.totalOps, rep0.md.totalOps);
+    EXPECT_EQ(record.md.end, rep0.md.end);
+    EXPECT_EQ(record.resolves, rep0.resolves);
+    EXPECT_EQ(record.solverIterations, rep0.solverIterations);
+  }
+
+  // The plain host crash: every watchdog timeout cancelled one in-flight
+  // chunk flow, and the trace shows each cancel.
+  TracingProbe probe;
+  const auto [rep0, record] = campaignRep0AndProbedRerun(crash, probe);
+  EXPECT_GT(record.ior.faults.timeouts, 0u);
+  EXPECT_EQ(probe.cancels, record.ior.faults.timeouts);
+}
+
+TEST(Observability, ProbeIsDetachedWhenTheRunThrows) {
+  // A host failure without a client fault policy is rejected after the
+  // probe attached: it must still be detached before the simulator goes.
+  auto config = smallConfig();
+  config.faults.schedule = faults::parseSchedule("off:h1@1");
+  TracingProbe probe;
+  config.observe.probe = &probe;
+  EXPECT_THROW(runOnce(config, 3), util::ConfigError);
+  EXPECT_EQ(probe.detaches, 1u);
+  EXPECT_FALSE(probe.finishedRecord.has_value());
 }
 
 TEST(Observability, CampaignRowsCarryUtilizationColumnsOnlyWhenEnabled) {
