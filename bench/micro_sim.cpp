@@ -311,13 +311,13 @@ void writeFluidCoreBench() {
             << "x, shared " << sharedHeadline << "x)\n";
 }
 
-// --- Cluster-scale fluid bench: SoA solver, ε-deferral, trace sinks ----
+// --- Cluster-scale fluid bench: ε-deferral, trace sinks ------------------
 //
 // The scale campaign behind results/BENCH_fluid_scale.json.  Three parts:
 //
-//   * a 10k-flow / 1k-resource wobbling-capacity scenario timed on three
-//     solver legs -- the scalar reference walk (the pre-SoA incremental
-//     path), the SoA fast path at ε=0, and SoA with ε-bounded deferral;
+//   * a 10k-flow / 1k-resource wobbling-capacity scenario timed on two
+//     solver legs -- the reference mode (every component flow by flow) at
+//     ε=0, and the default path with ε-bounded deferral;
 //   * the same scenario untraced vs FlowTracer vs RingTraceSink, measuring
 //     tracing overhead as a percentage of untraced wall time;
 //   * a paper-topology campaign scaled ~1000x in rank count (the paper's
@@ -447,12 +447,10 @@ util::JsonValue benchScaleSolver(const ScaleShape& shape, double epsilon,
                                  double simWindow, double* speedupOut) {
   const auto legs = bestScaleLegs({
       [&] { return runScaleLeg(shape, true, 0.0, simWindow, NoObserver{}); },
-      [&] { return runScaleLeg(shape, false, 0.0, simWindow, NoObserver{}); },
       [&] { return runScaleLeg(shape, false, epsilon, simWindow, NoObserver{}); },
   });
   const ScaleLeg& reference = legs[0];
-  const ScaleLeg& soa = legs[1];
-  const ScaleLeg& eps = legs[2];
+  const ScaleLeg& eps = legs[1];
 
   util::JsonObject entry;
   entry["name"] = "scale_" + std::to_string(shape.apps * shape.flowsPerApp) + "f_" +
@@ -463,9 +461,6 @@ util::JsonValue benchScaleSolver(const ScaleShape& shape, double epsilon,
   entry["epsilon_mibps"] = epsilon;
   entry["reference_resolves_per_s"] = reference.resolvesPerS;
   entry["reference_events_per_s"] = reference.eventsPerS;
-  entry["soa_resolves_per_s"] = soa.resolvesPerS;
-  entry["soa_events_per_s"] = soa.eventsPerS;
-  entry["soa_speedup"] = reference.wallPerSimSecond / soa.wallPerSimSecond;
   entry["eps_resolves_per_s"] = eps.resolvesPerS;
   entry["eps_events_per_s"] = eps.eventsPerS;
   entry["eps_deferred_component_solves"] = static_cast<double>(eps.deferred);
@@ -477,8 +472,8 @@ util::JsonValue benchScaleSolver(const ScaleShape& shape, double epsilon,
 
 util::JsonValue benchScaleTracing(const ScaleShape& shape, double simWindow,
                                   double* ringOverheadOut) {
-  // All three legs run the exact (ε=0, SoA) path; only the attached observer
-  // differs, so the wall-time delta is tracing cost alone.
+  // All three legs run the exact (ε=0) default path; only the attached
+  // observer differs, so the wall-time delta is tracing cost alone.
   std::uint64_t ringRecorded = 0;
   const auto legs = bestScaleLegs({
       [&] { return runScaleLeg(shape, false, 0.0, simWindow, NoObserver{}); },

@@ -47,10 +47,10 @@ void FluidSimulator::addObserver(FluidObserver* observer) {
     return;
   }
   // A second distinct observer: promote the slot to the hub, preserving the
-  // currently installed one ahead of the newcomer.  A stale hub from an
-  // earlier episode (left behind by setObserver clobbering it) is reset.
+  // currently installed one ahead of the newcomer.  A hub from an earlier
+  // episode is empty by now (removeObserver frees the slot only once the hub
+  // empties), so it is reused as is.
   if (hub_ == nullptr) hub_ = std::make_unique<ObserverHub>();
-  hub_->clear();
   hub_->add(observer_);
   hub_->add(observer);
   observer_ = hub_.get();
@@ -666,7 +666,7 @@ bool FluidSimulator::gatherClasses(std::uint32_t root) {
 }
 
 std::size_t FluidSimulator::solvePositions(std::span<const std::uint32_t> slots,
-                                           SolverWorkspace& workspace, bool reference) {
+                                           SolverWorkspace& workspace) {
   const std::size_t n = slots.size();
   posOffset_.resize(n);
   posLen_.resize(n);
@@ -686,8 +686,7 @@ std::size_t FluidSimulator::solvePositions(std::span<const std::uint32_t> slots,
   const SolverView view{resCapacity_, classAdjacency_, posOffset_,
                         posLen_,      posWeight_,      posRateCap_};
   const std::span<const std::uint32_t> subset(positions_.data(), n);
-  return reference ? workspace.solveSubsetReference(view, subset, posRate_)
-                   : workspace.solveSubset(view, subset, posRate_);
+  return workspace.solveSubset(view, subset, posRate_);
 }
 
 void FluidSimulator::solveComponent(std::uint32_t r) {
@@ -705,7 +704,7 @@ void FluidSimulator::solveComponent(std::uint32_t r) {
     for (auto slot = comp.head; slot != kNone; slot = flowNext_[slot]) {
       subsetSlots_.push_back(slot);
     }
-    solverIterations_ += solvePositions(subsetSlots_, workspace_, referenceSolver_);
+    solverIterations_ += solvePositions(subsetSlots_, workspace_);
     // Members of one class receive bit-identical rates from the per-flow
     // solve (same operations on the same values), so any one stands for it.
     for (std::size_t j = 0; j < subsetSlots_.size(); ++j) {
@@ -1008,11 +1007,11 @@ void FluidSimulator::runSolverCheck() {
                   "solver check: stale queue depth on " + resources_[r].name);
   }
 
-  // The scratch solve uses the scalar reference walk, flow by flow, so in
-  // the default configuration this also differentially pins the class
-  // solve.  With ε-deferral enabled the maintained rates may lag the exact
-  // solution by up to the configured bound, so the tolerance widens by ε.
-  solvePositions(checkSlots, checkWorkspace_, true);
+  // The scratch solve runs flow by flow, so in the default configuration
+  // this also differentially pins the class solve.  With ε-deferral enabled
+  // the maintained rates may lag the exact solution by up to the configured
+  // bound, so the tolerance widens by ε.
+  solvePositions(checkSlots, checkWorkspace_);
   for (std::size_t j = 0; j < checkSlots.size(); ++j) {
     const auto slot = checkSlots[j];
     const double expect = posRate_[j];

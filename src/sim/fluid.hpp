@@ -270,21 +270,17 @@ class FluidSimulator {
   /// Resolves skipped under the ε bound (diagnostics / scale bench).
   std::size_t deferredResolves() const { return deferredResolves_; }
 
-  /// Use the scalar reference solver walk, flow by flow, instead of the
-  /// compiled class problems and the SoA fast path.  Rates are bit-identical
-  /// either way (see sim/maxmin.hpp); this is the independent check on the
-  /// aggregated rates, and the baseline leg of the scale benchmark.
+  /// Solve every component flow by flow, without class aggregation (no
+  /// compiled class problems).  Rates are bit-identical either way (see
+  /// sim/maxmin.hpp); this is the check on the aggregated rates, and the
+  /// reference leg of the scale benchmark.
   void setReferenceSolver(bool enabled) { referenceSolver_ = enabled; }
-
-  /// Attach an observer (nullptr detaches).  A single slot with clobbering
-  /// semantics -- prefer addObserver/removeObserver, which compose.  The
-  /// caller keeps ownership and must outlive the simulation.
-  void setObserver(FluidObserver* observer) { observer_ = observer; }
 
   /// Attach an observer *alongside* any already installed: the first
   /// observer occupies the slot directly (zero fan-out overhead); a second
   /// one promotes the slot to an internally-owned ObserverHub that fans
-  /// every event out in attachment order.  The caller keeps ownership.
+  /// every event out in attachment order.  The caller keeps ownership and
+  /// must outlive the simulation.
   void addObserver(FluidObserver* observer);
 
   /// Detach an observer attached via addObserver (or occupying the slot
@@ -361,8 +357,7 @@ class FluidSimulator {
   bool gatherClasses(std::uint32_t root);
   /// Fill the position view (one entry per live flow, in `slots` order)
   /// and solve it flow by flow into posRate_.
-  std::size_t solvePositions(std::span<const std::uint32_t> slots, SolverWorkspace& workspace,
-                             bool reference);
+  std::size_t solvePositions(std::span<const std::uint32_t> slots, SolverWorkspace& workspace);
 
   void scheduleResolve();
   void resolveNow();

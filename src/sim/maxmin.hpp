@@ -13,29 +13,20 @@
 // dictates completion time); the same abstraction covers storage-side
 // service capacity in Scenario 2.
 //
-// Two entry points:
+// Entry points:
 //
-//   * solveMaxMin(resources, flows) -- the original self-contained call,
-//     kept for existing callers and as the reference implementation for the
-//     differential check mode (BEESIM_SOLVER_CHECK).
-//   * SolverWorkspace::solveSubset -- the allocation-free core used by the
-//     fluid simulator's incremental resolver.  The caller owns the problem
-//     in flat CSR-style arrays (one shared adjacency arena, per-flow
-//     offset/length) and asks for the rates of an arbitrary *subset* of
-//     flows (one connected component at a time).  All scratch state lives in
-//     the workspace and is reused across solves, so a steady-state resolve
-//     performs zero heap allocations.
-//
-// Layout: solveSubset compacts the named subset into dense structure-of-
-// arrays vectors (per-flow weight/cap/rate, per-resource residual/active
-// weight, locally renumbered adjacency) so the progressive-filling inner
-// loops -- the delta scan, the uniform increment and the residual update --
-// run branch-free over contiguous memory and auto-vectorize.  The compaction
-// produces bit-identical rates to the scalar reference walk
-// (solveSubsetReference, the pre-SoA implementation kept for differential
-// testing): every floating-point operation is performed on the same values
-// in the same order, frozen flows merely receive `+= delta * 0.0` instead of
-// being skipped.
+//   * solveMaxMin(resources, flows) -- the self-contained call, allocating
+//     per call; tests compare the other entry points against it.
+//   * SolverWorkspace::solveSubset -- the allocation-free per-flow walk used
+//     by the fluid simulator for components that mix weights and by its
+//     reference mode.  The caller owns the problem in flat CSR-style arrays
+//     (one shared adjacency arena, per-flow offset/length) and asks for the
+//     rates of an arbitrary *subset* of flows (one connected component at a
+//     time).  All scratch state lives in the workspace and is reused across
+//     solves, so a steady-state resolve performs zero heap allocations.
+//   * SolverWorkspace::compileClasses + solveCompiled -- the class solve
+//     below, which is what the fluid simulator runs on every one-weight
+//     component.
 //
 // Flow classes: flows with byte-identical (path, weight, cap) -- ranks of one
 // node writing to one target -- receive identical max-min rates, so a caller
@@ -44,8 +35,8 @@
 // one by one, provided every class in the subset shares one weight w: a
 // resource's active weight is then the sequential sum of its K crossing
 // members' copies of w, read from a table S[k] = S[k-1] + w (the exact
-// additions the per-flow compaction performs); a freezing class subtracts w
-// once per member, or resets the weight to exactly 0.0 when the member count
+// additions the per-flow walk performs); a freezing class subtracts w once
+// per member, or resets the weight to exactly 0.0 when the member count
 // reaches 0; and every rate increment, delta candidate and freeze test of a
 // class is the same operation on the same values as for each of its members,
 // so even the iteration count is unchanged.  With mixed weights the order of
@@ -54,13 +45,13 @@
 // One fill level: at one weight every filling class starts at 0.0 and
 // receives the same `+= delta * w`, so the class solve keeps a single scalar
 // `level` for all of them.  A class takes the level as its rate when it
-// freezes (a dead class takes 0.0) and is not touched again -- frozen
-// classes no longer receive `+= delta * 0.0`.  Cap candidates are
-// `(cap - level) / w` over the compiled list of capped classes, frozen
+// freezes (a dead class takes 0.0) and is not touched again.  Cap candidates
+// are `(cap - level) / w` over the compiled list of capped classes, frozen
 // classes carry the solve's stamp, and the weight release -- the only walk
-// over a freezing class's path -- is skipped once no class is left filling.  These are the per-class operations on the same
-// values, so an iteration costs O(resources + capped + freezing classes)
-// rather than O(resources + classes) and the results keep their bits.
+// over a freezing class's path -- is skipped once no class is left filling.
+// These are the per-class operations on the same values, so an iteration
+// costs O(resources + capped + freezing classes) rather than
+// O(resources + classes) and the results keep their bits.
 //
 // A class problem is solved in two steps.  compileClasses does everything
 // that depends only on the class set -- the dense renumbering of resources,
@@ -70,8 +61,7 @@
 // between class arrivals and departures) compiles once and re-solves the
 // compiled problem at every capacity or count change.  At one weight the
 // solve does not depend on the order of the classes, so a compiled problem
-// keeps its own.  SolverWorkspace::solveSubset with SolverView::multiplicity
-// is compile + solve.
+// keeps its own.
 //
 // Degenerate inputs are well-defined:
 //   * a flow crossing a zero-capacity resource receives rate 0 (it never
@@ -117,8 +107,8 @@ struct SolverResult {
 /// CSR-style view of a max-min problem.  The per-flow arrays are indexed by
 /// *flow slot*; a slot's crossed resources are
 /// `adjacency[adjOffset[f] .. adjOffset[f] + adjLen[f])`.  Slots not named
-/// in a solveSubset call are ignored entirely, so callers may keep free
-/// (stale) slots in the arrays.
+/// in a solveSubset or compileClasses call are ignored entirely, so callers
+/// may keep free (stale) slots in the arrays.
 struct SolverView {
   std::span<const double> capacity;          // per resource
   std::span<const std::uint32_t> adjacency;  // shared resource-index arena
@@ -126,9 +116,6 @@ struct SolverView {
   std::span<const std::uint32_t> adjLen;     // per flow slot
   std::span<const double> weight;            // per flow slot
   std::span<const double> rateCap;           // per flow slot (<= 0: uncapped)
-  /// Optional: slot f stands for multiplicity[f] identical flows (a flow
-  /// class; see the header comment).  Empty: every slot is one flow.
-  std::span<const std::uint32_t> multiplicity = {};
 };
 
 /// A class problem compiled by SolverWorkspace::compileClasses: the part of
@@ -162,18 +149,13 @@ class SolverWorkspace {
   /// The subset must be self-contained (a union of connected components):
   /// rates are computed as if no other flow existed.  Flows crossing a
   /// zero-capacity resource receive rate 0.  Returns the number of filling
-  /// iterations.  This is the SoA fast path; it produces bit-identical
-  /// rates to solveSubsetReference.  With view.multiplicity set, all named
-  /// slots must share one weight; each slot's rate is then the rate every
-  /// one of its multiplicity[f] member flows receives from
-  /// solveSubsetReference over the expanded flows, bit for bit, in the same
-  /// number of iterations (compileClasses + solveCompiled).
+  /// iterations.
   std::size_t solveSubset(const SolverView& view, std::span<const std::uint32_t> flows,
                           std::span<double> rates);
 
   /// Compiles the class problem of `classes` (slots of the view, all of one
   /// weight, each listed once) into `out`.  Only the view's adjacency,
-  /// weight and rate caps are read; capacities and multiplicities are read
+  /// weight and rate caps are read; capacities and member counts are read
   /// by each solveCompiled.
   void compileClasses(const SolverView& view, std::span<const std::uint32_t> classes,
                       CompiledClasses& out);
@@ -181,6 +163,9 @@ class SolverWorkspace {
   /// Fills a compiled class problem under the current `capacity` (per global
   /// resource) and `multiplicity` (per class slot, each > 0), writing
   /// `rates[slot]` for every compiled class; returns the iteration count.
+  /// Each class's rate is the rate every one of its members receives from
+  /// solveSubset over the expanded flows, bit for bit, in the same number
+  /// of iterations.
   /// Optional `resourceCount[r]`: the total multiplicity of the classes
   /// crossing r.  When given and no resource of the problem is at zero
   /// capacity (so no class is dead), the solve reads the per-resource
@@ -189,15 +174,6 @@ class SolverWorkspace {
                             std::span<const std::uint32_t> multiplicity,
                             std::span<double> rates,
                             std::span<const std::uint32_t> resourceCount = {});
-
-  /// The pre-SoA scalar implementation (gather/scatter through the CSR view
-  /// per iteration).  Kept as the reference for differential tests pinning
-  /// the SoA layout, and as the baseline leg of the scale benchmark.
-  /// Identical contract and bit-identical results, over plain flows only
-  /// (view.multiplicity must be empty).
-  std::size_t solveSubsetReference(const SolverView& view,
-                                   std::span<const std::uint32_t> flows,
-                                   std::span<double> rates);
 
  private:
   void ensureResourceCapacity(std::size_t resourceCount);
@@ -213,11 +189,11 @@ class SolverWorkspace {
   std::vector<char> saturated_;
   std::uint64_t stamp_ = 0;
 
-  // Compact per-solve lists (reused capacity).
+  // Per-flow walk: compact per-solve lists (reused capacity).
   std::vector<std::uint32_t> touchedRes_;
   std::vector<std::uint32_t> activeFlows_;
 
-  // --- Dense SoA state (solveSubset / solveCompiled; reused capacity) ----
+  // --- Class solve (compileClasses / solveCompiled; reused capacity) -----
   // Global resource index -> dense id, valid when resStamp_ == stamp_.
   std::vector<std::uint32_t> resDense_;
   // Per dense resource.
@@ -225,32 +201,16 @@ class SolverWorkspace {
   std::vector<double> rResidual_;
   std::vector<double> rActiveWeight_;
   std::vector<std::uint32_t> rActiveCount_;
-  std::vector<std::uint32_t> rFreezing_;  // class members frozen this iteration
-  std::vector<char> rSaturated_;
+  std::vector<std::uint32_t> rFreezing_;   // class members frozen this iteration
   std::vector<std::uint32_t> saturating_;  // resources saturated this iteration
   std::vector<std::uint32_t> freezing_;    // resources with rFreezing_ > 0
-  // Per dense flow (per-flow solve).  fActiveW holds the weight while the
-  // flow is filling and exactly 0.0 once frozen (so the increment loop is
-  // branch-free); fCapOrInf holds the rate cap while the flow is filling
-  // *and* capped, +inf otherwise (so the cap scan is branch-free and frozen
-  // flows never re-tighten delta).
-  std::vector<std::uint32_t> fSlot_;
-  std::vector<double> fWeight_;
-  std::vector<double> fActiveW_;
-  std::vector<double> fCapOrInf_;
-  std::vector<double> fRate_;
-  std::vector<std::uint32_t> fAdjOffset_;
-  std::vector<std::uint32_t> fAdjLen_;
-  std::vector<std::uint32_t> denseAdj_;
-  std::vector<std::uint32_t> activeList_;  // per-flow solve: filling flows
-  // Class solve: filling capped classes, the classes frozen this
-  // iteration, and per class the stamp of the solve that froze it.
+  // Filling capped classes, the classes frozen this iteration, and per class
+  // the stamp of the solve that froze it.
   std::vector<std::uint32_t> cappedList_;
   std::vector<std::uint32_t> frozenNow_;
   std::vector<std::uint64_t> cFrozen_;
   std::vector<double> weightSums_;
   double weightSumsOf_ = 0.0;
-  CompiledClasses scratchClasses_;  // solveSubset's class problem
 };
 
 /// Computes the max-min fair allocation.

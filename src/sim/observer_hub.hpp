@@ -1,8 +1,6 @@
 // ObserverHub: fan-out multiplexer for FluidObserver.
 //
-// FluidSimulator exposes a single observer slot; before this hub existed,
-// attaching a FlowTracer silently clobbered whatever was installed (and its
-// destructor detached observers installed *after* it).  The hub turns the
+// FluidSimulator dispatches to a single observer slot.  The hub turns the
 // slot into a composition point: any number of observers register with
 // add()/remove() and every simulator callback fans out to all of them in
 // attachment order.
@@ -30,7 +28,6 @@ class ObserverHub final : public FluidObserver {
   /// loop re-checks bounds), which is what observer destructors do.
   void remove(FluidObserver* observer);
 
-  void clear() { observers_.clear(); }
   std::size_t size() const { return observers_.size(); }
   bool empty() const { return observers_.empty(); }
   bool contains(const FluidObserver* observer) const;

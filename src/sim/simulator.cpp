@@ -11,12 +11,6 @@ namespace {
 constexpr std::uint64_t kSlotMask = 0xffffffffull;
 }  // namespace
 
-Simulator::Simulator(std::size_t shards) {
-  BEESIM_ASSERT(shards >= 1, "event queue needs at least one shard");
-  shards_.resize(shards);
-  tops_.resize(shards);
-}
-
 EventId Simulator::schedule(SimTime at, EventFn fn) {
   BEESIM_ASSERT(at >= now_, "cannot schedule an event in the past");
   BEESIM_ASSERT(fn != nullptr, "event callback must not be null");
@@ -36,14 +30,8 @@ EventId Simulator::schedule(SimTime at, EventFn fn) {
   s.pending = true;
   s.cancelled = false;
 
-  // Shard by slot: deterministic (the free list is), and recycled slots keep
-  // a stable shard so a steady-state event population never rebalances.
-  const std::size_t shard = slot % shards_.size();
-  auto& heap = shards_[shard];
-  heap.push_back(QueuedEvent{at, nextSequence_++, slot});
-  std::push_heap(heap.begin(), heap.end(), Later{});
-  tops_[shard] = ShardTop{heap.front().at, heap.front().sequence};
-  ++queued_;
+  heap_.push_back(QueuedEvent{at, nextSequence_++, slot});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   return EventId{slot | (static_cast<std::uint64_t>(s.generation) << 32)};
 }
 
@@ -73,52 +61,26 @@ void Simulator::retireSlot(std::uint32_t slot) {
   freeSlots_.push_back(slot);
 }
 
-std::size_t Simulator::minShard() const {
-  // Linear scan over the flat cached-minima array: with a handful of shards
-  // this is one or two cache lines, cheaper and simpler than a second heap.
-  // The (at, sequence) order is total (sequences are globally unique), so
-  // the pick -- and therefore dispatch order -- is shard-layout independent.
-  std::size_t best = 0;
-  for (std::size_t s = 1; s < tops_.size(); ++s) {
-    const ShardTop& a = tops_[s];
-    const ShardTop& b = tops_[best];
-    if (a.at < b.at || (a.at == b.at && a.sequence < b.sequence)) best = s;
-  }
-  return best;
-}
-
-void Simulator::refreshTop(std::size_t s) {
-  if (shards_[s].empty()) {
-    tops_[s] = ShardTop{};
-  } else {
-    tops_[s] = ShardTop{shards_[s].front().at, shards_[s].front().sequence};
-  }
-}
-
-Simulator::QueuedEvent Simulator::popShard(std::size_t s) {
-  auto& heap = shards_[s];
-  const QueuedEvent event = heap.front();
-  std::pop_heap(heap.begin(), heap.end(), Later{});
-  heap.pop_back();
-  refreshTop(s);
-  --queued_;
+Simulator::QueuedEvent Simulator::pop() {
+  const QueuedEvent event = heap_.front();
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  heap_.pop_back();
   return event;
 }
 
 void Simulator::purgeCancelledFront() {
-  while (queued_ > 0) {
-    const std::size_t s = minShard();
-    const std::uint32_t slot = shards_[s].front().slot;
+  while (!heap_.empty()) {
+    const std::uint32_t slot = heap_.front().slot;
     if (!slots_[slot].cancelled) return;
-    (void)popShard(s);
+    (void)pop();
     --cancelledCount_;
     retireSlot(slot);
   }
 }
 
 bool Simulator::step() {
-  while (queued_ > 0) {
-    const QueuedEvent event = popShard(minShard());
+  while (!heap_.empty()) {
+    const QueuedEvent event = pop();
     EventSlot& s = slots_[event.slot];
     if (s.cancelled) {
       --cancelledCount_;
@@ -145,13 +107,12 @@ std::size_t Simulator::run() {
 
 std::size_t Simulator::runUntil(SimTime limit) {
   std::size_t processed = 0;
-  while (queued_ > 0) {
+  while (!heap_.empty()) {
     // Retire cancelled fronts first so the limit check reads the next *live*
     // event's timestamp (a cancelled early event must not pull a later live
     // one across the limit).
     purgeCancelledFront();
-    if (queued_ == 0) break;
-    if (tops_[minShard()].at > limit) break;
+    if (heap_.empty() || heap_.front().at > limit) break;
     if (step()) ++processed;
   }
   if (now_ < limit) now_ = limit;

@@ -11,20 +11,13 @@
 // no heap allocations (callbacks small enough for std::function's inline
 // buffer included), which keeps the fluid resolver's hot path allocation-free.
 //
-// The queue is *sharded*: events hash (by slot) onto a small fixed set of
-// per-shard binary heaps, and dispatch scans a flat array of cached shard
-// minima.  A push or pop therefore touches O(log(pending / shards)) heap
-// entries instead of O(log pending) in one monolithic heap -- at cluster
-// scale (100k+ in-flight completions and wakeups) each completion-horizon
-// reschedule re-heapifies only its own shard.  Because every event carries a
-// globally unique sequence number, the (time, sequence) order is total, so
-// dispatch order -- and with it every golden CSV -- is bit-identical for any
-// shard count, including 1 (the legacy monolithic heap).
+// The queue is one binary min-heap of those triples.  Every event carries a
+// globally unique sequence number, so the (time, sequence) order is total and
+// dispatch order does not depend on the heap's internal layout.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <vector>
 
 #include "util/units.hpp"
@@ -45,14 +38,7 @@ using EventFn = std::function<void()>;
 
 class Simulator {
  public:
-  /// Default shard count: small enough that the dispatch scan over cached
-  /// shard minima stays a handful of cache lines, large enough to cut heap
-  /// depth by 3 levels at scale.
-  static constexpr std::size_t kDefaultShards = 8;
-
-  Simulator() : Simulator(kDefaultShards) {}
-  /// `shards` >= 1; dispatch order is independent of the choice.
-  explicit Simulator(std::size_t shards);
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -82,14 +68,12 @@ class Simulator {
 
   /// Number of events still pending (cancelled events may be counted until
   /// they surface).
-  std::size_t pending() const { return queued_; }
+  std::size_t pending() const { return heap_.size(); }
 
   /// Number of cancellations waiting for their event to surface.  Bounded by
   /// pending(); stays 0 when cancelling only already-fired events (regression
   /// guard for the unbounded-growth bug).
   std::size_t cancelledBacklog() const { return cancelledCount_; }
-
-  std::size_t shardCount() const { return shards_.size(); }
 
  private:
   struct QueuedEvent {
@@ -103,12 +87,6 @@ class Simulator {
       return a.sequence > b.sequence;  // FIFO among equal timestamps
     }
   };
-  /// Cached minimum of one shard's heap; at == +inf marks an empty shard so
-  /// the dispatch scan is branch-free over a flat array.
-  struct ShardTop {
-    SimTime at = std::numeric_limits<double>::infinity();
-    std::uint64_t sequence = 0;
-  };
   /// One pooled callback.  `generation` advances every time the slot is
   /// retired, so an EventId (slot | generation << 32) from a previous tenancy
   /// no longer matches.
@@ -120,21 +98,16 @@ class Simulator {
   };
 
   void retireSlot(std::uint32_t slot);
-  /// Index of the shard holding the globally next event (smallest (at,
-  /// sequence)); requires queued_ > 0.
-  std::size_t minShard() const;
-  /// Pop the top of shard `s` and refresh its cached minimum.
-  QueuedEvent popShard(std::size_t s);
-  void refreshTop(std::size_t s);
+  /// Pop the globally next event (smallest (at, sequence)); requires a
+  /// non-empty heap.
+  QueuedEvent pop();
   /// Retire cancelled events sitting at the global front so callers can read
   /// the true next timestamp.
   void purgeCancelledFront();
 
   SimTime now_ = 0.0;
   std::uint64_t nextSequence_ = 1;
-  std::vector<std::vector<QueuedEvent>> shards_;  // binary min-heaps
-  std::vector<ShardTop> tops_;
-  std::size_t queued_ = 0;
+  std::vector<QueuedEvent> heap_;  // binary min-heap under Later
   std::vector<EventSlot> slots_;
   std::vector<std::uint32_t> freeSlots_;
   std::size_t cancelledCount_ = 0;

@@ -167,7 +167,7 @@ TEST(FluidIncremental, DisjointComponentsAreNotResolved) {
   // own component; the first flow's (clean) component is left untouched.
   FluidSimulator fluid;
   SolveSetObserver observer;
-  fluid.setObserver(&observer);
+  fluid.addObserver(&observer);
   const auto linkA = addLink(fluid, "a", 100.0);
   const auto linkB = addLink(fluid, "b", 100.0);
   const auto f1 = fluid.startFlow(FlowSpec{.path = {linkA}, .bytes = 1_GiB,
@@ -194,7 +194,7 @@ TEST(FluidIncremental, SharedResourceMergesComponents) {
   // merged component is re-solved as a whole.
   FluidSimulator fluid;
   SolveSetObserver observer;
-  fluid.setObserver(&observer);
+  fluid.addObserver(&observer);
   const auto linkA = addLink(fluid, "a", 100.0);
   const auto linkB = addLink(fluid, "b", 100.0);
   const auto f1 = fluid.startFlow(FlowSpec{.path = {linkA}, .bytes = 1_GiB,
@@ -411,10 +411,11 @@ ClassRunTrace runClassSchedule(std::uint64_t seed, bool referenceSolver) {
 }
 
 TEST(FluidIncremental, FlowClassesMatchPerFlowReferenceBitwise) {
-  // The class-aggregated solve must reproduce the per-flow reference walk
-  // exactly: every observer-reported rate, every completion time and the
-  // filling iteration count, across starts, cancellations, load-dependent
-  // and zero-capacity transitions, and a mixed-weight component.
+  // The class-aggregated solve must reproduce the reference mode, which
+  // solves every component flow by flow, exactly: every observer-reported
+  // rate, every completion time and the filling iteration count, across
+  // starts, cancellations, load-dependent and zero-capacity transitions,
+  // and a mixed-weight component.
   for (const std::uint64_t seed : {31u, 32u, 33u, 34u, 35u, 36u, 37u, 38u}) {
     const auto reference = runClassSchedule(seed, true);
     const auto classes = runClassSchedule(seed, false);

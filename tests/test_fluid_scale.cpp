@@ -1,7 +1,8 @@
 // Property tests for the ε-bounded incremental resolution (DESIGN.md §2.7):
 //
 //   * ε = 0 is the exact path -- bitwise identical, rate for rate and
-//     completion for completion, to the reference (pre-SoA) solver;
+//     completion for completion, to the reference mode that solves every
+//     component flow by flow;
 //   * ε > 0 never lets a flow's simulated rate deviate from the exact
 //     max-min solution by more than ε MiB/s;
 //   * capacity drift accumulates across skipped resolves, so slow trends
@@ -82,10 +83,10 @@ void buildScenario(FluidSimulator& fluid, std::uint64_t seed,
 }
 
 TEST(FluidScale, EpsilonZeroMatchesReferenceSolverBitwise) {
-  // The SoA fast path performs the same floating-point operations in the
-  // same order as the reference walk (frozen flows add delta * 0.0, min is
-  // order-independent), so at ε = 0 every completion time and mean rate must
-  // be *exactly* equal -- not just close.
+  // The class solve performs the same floating-point operations on the same
+  // values as the per-flow walk over its members (see sim/maxmin.hpp), so at
+  // ε = 0 every completion time and mean rate must be *exactly* equal to the
+  // reference mode's -- not just close -- and nothing is deferred.
   for (const std::uint64_t seed : {11u, 12u, 13u, 14u, 15u, 16u}) {
     FluidSimulator reference;
     reference.setReferenceSolver(true);
@@ -93,17 +94,16 @@ TEST(FluidScale, EpsilonZeroMatchesReferenceSolverBitwise) {
     buildScenario(reference, seed, &refCompletions);
     reference.run();
 
-    FluidSimulator soa;
-    std::vector<Completion> soaCompletions;
-    buildScenario(soa, seed, &soaCompletions);
-    soa.run();
+    FluidSimulator aggregated;
+    std::vector<Completion> completions;
+    buildScenario(aggregated, seed, &completions);
+    aggregated.run();
 
-    ASSERT_EQ(refCompletions.size(), soaCompletions.size()) << "seed " << seed;
+    ASSERT_EQ(refCompletions.size(), completions.size()) << "seed " << seed;
     for (std::size_t i = 0; i < refCompletions.size(); ++i) {
-      EXPECT_EQ(refCompletions[i], soaCompletions[i])
-          << "seed " << seed << " completion " << i;
+      EXPECT_EQ(refCompletions[i], completions[i]) << "seed " << seed << " completion " << i;
     }
-    EXPECT_EQ(soa.deferredResolves(), 0u);
+    EXPECT_EQ(aggregated.deferredResolves(), 0u);
   }
 }
 

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "util/error.hpp"
@@ -140,6 +141,66 @@ TEST(MaxMin, ScenarioOneShape) {
   EXPECT_NEAR(result.rates[1], kLinkB / 24.0, 1e-6);  // hot
 }
 
+/// A CSR problem plus the flat arrays SolverWorkspace consumes.
+struct CsrProblem {
+  std::vector<double> capacity;
+  std::vector<std::uint32_t> adjacency;
+  std::vector<std::uint32_t> adjOffset;
+  std::vector<std::uint32_t> adjLen;
+  std::vector<double> weight;
+  std::vector<double> rateCap;
+  std::vector<std::uint32_t> subset;
+
+  SolverView view() const {
+    return SolverView{capacity, adjacency, adjOffset, adjLen, weight, rateCap};
+  }
+};
+
+/// The max-min certificate, independent of the filling algorithm that
+/// produced `rates` (indexed by slot): the rates are feasible (no resource
+/// over capacity, no cap exceeded) and every flow of the subset is at its
+/// cap or crosses a saturated resource on which no flow has a strictly
+/// larger *normalized* rate (rate divided by weight).  O(sum of paths).
+void expectMaxMinCertificate(const CsrProblem& p, std::span<const double> rates,
+                             const std::string& context) {
+  constexpr double kTol = 1e-6;
+  const auto path = [&p](std::uint32_t f) {
+    return std::span<const std::uint32_t>(p.adjacency.data() + p.adjOffset[f], p.adjLen[f]);
+  };
+
+  // Feasibility, plus the largest normalized rate on every resource.
+  std::vector<double> used(p.capacity.size(), 0.0);
+  std::vector<double> maxNorm(p.capacity.size(), 0.0);
+  for (const auto f : p.subset) {
+    EXPECT_GE(rates[f], -kTol) << context << " flow " << f;
+    if (p.rateCap[f] > 0.0) {
+      EXPECT_LE(rates[f], p.rateCap[f] + kTol) << context << " flow " << f;
+    }
+    for (const auto r : path(f)) {
+      used[r] += rates[f];
+      maxNorm[r] = std::max(maxNorm[r], rates[f] / p.weight[f]);
+    }
+  }
+  for (std::size_t r = 0; r < p.capacity.size(); ++r) {
+    EXPECT_LE(used[r], p.capacity[r] + kTol) << context << " resource " << r;
+  }
+
+  // Bottleneck condition.
+  for (const auto f : p.subset) {
+    if (p.rateCap[f] > 0.0 && rates[f] >= p.rateCap[f] - kTol) continue;
+    const double normF = rates[f] / p.weight[f];
+    bool blocked = false;
+    for (const auto r : path(f)) {
+      if (used[r] >= p.capacity[r] - kTol * std::max(1.0, p.capacity[r]) &&
+          maxNorm[r] <= normF + kTol) {
+        blocked = true;
+        break;
+      }
+    }
+    EXPECT_TRUE(blocked) << context << " flow " << f << " is not max-min blocked";
+  }
+}
+
 /// Property suite on random instances: the solution must be feasible and
 /// max-min optimal (every flow is blocked by a saturated resource where it
 /// has the maximal rate, or by its own cap).
@@ -165,69 +226,22 @@ TEST_P(MaxMinPropertyTest, FeasibleAndMaxMinOptimal) {
   }
 
   const auto result = solveMaxMin(res, flows);
-  constexpr double kTol = 1e-6;
-
-  // Feasibility: no resource over capacity, no cap exceeded.
-  std::vector<double> used(nRes, 0.0);
-  for (std::size_t f = 0; f < nFlows; ++f) {
-    EXPECT_GE(result.rates[f], -kTol);
-    if (flows[f].rateCap > 0.0) {
-      EXPECT_LE(result.rates[f], flows[f].rateCap + kTol);
-    }
-    for (const auto r : flows[f].resources) used[r] += result.rates[f];
+  CsrProblem p;
+  for (const auto& r : res) p.capacity.push_back(r.capacity);
+  for (std::uint32_t f = 0; f < nFlows; ++f) {
+    p.adjOffset.push_back(static_cast<std::uint32_t>(p.adjacency.size()));
+    p.adjLen.push_back(static_cast<std::uint32_t>(flows[f].resources.size()));
+    p.adjacency.insert(p.adjacency.end(), flows[f].resources.begin(), flows[f].resources.end());
+    p.weight.push_back(flows[f].weight);
+    p.rateCap.push_back(flows[f].rateCap);
+    p.subset.push_back(f);
   }
-  for (std::size_t r = 0; r < nRes; ++r) EXPECT_LE(used[r], res[r].capacity + kTol);
-
-  // Max-min optimality: every flow is limited by its cap or by a saturated
-  // resource on which no co-located flow has a strictly larger *normalized*
-  // rate (rate divided by weight).
-  for (std::size_t f = 0; f < nFlows; ++f) {
-    if (flows[f].rateCap > 0.0 && result.rates[f] >= flows[f].rateCap - kTol) continue;
-    bool blocked = false;
-    const double normF = result.rates[f] / flows[f].weight;
-    for (const auto r : flows[f].resources) {
-      if (used[r] >= res[r].capacity - kTol * std::max(1.0, res[r].capacity)) {
-        bool isMaxOnResource = true;
-        for (std::size_t g = 0; g < nFlows; ++g) {
-          if (g == f) continue;
-          const auto& gres = flows[g].resources;
-          if (std::find(gres.begin(), gres.end(), r) != gres.end() &&
-              result.rates[g] / flows[g].weight > normF + kTol) {
-            // A bigger flow on the same saturated resource is fine only if
-            // that flow is itself frozen elsewhere -- but then r is not
-            // flow f's max-min bottleneck.  Keep searching.
-            isMaxOnResource = false;
-            break;
-          }
-        }
-        if (isMaxOnResource) {
-          blocked = true;
-          break;
-        }
-      }
-    }
-    EXPECT_TRUE(blocked) << "flow " << f << " is not max-min blocked";
-  }
+  expectMaxMinCertificate(p, result.rates, "instance " + std::to_string(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, MaxMinPropertyTest, ::testing::Range(0, 25));
 
-// --- SoA fast path vs reference walk -----------------------------------
-
-/// A random CSR problem plus the flat arrays SolverWorkspace consumes.
-struct CsrProblem {
-  std::vector<double> capacity;
-  std::vector<std::uint32_t> adjacency;
-  std::vector<std::uint32_t> adjOffset;
-  std::vector<std::uint32_t> adjLen;
-  std::vector<double> weight;
-  std::vector<double> rateCap;
-  std::vector<std::uint32_t> subset;
-
-  SolverView view() const {
-    return SolverView{capacity, adjacency, adjOffset, adjLen, weight, rateCap};
-  }
-};
+// --- The per-flow walk (SolverWorkspace::solveSubset) -------------------
 
 CsrProblem randomCsrProblem(std::uint64_t seed) {
   util::Rng rng(seed);
@@ -253,28 +267,28 @@ CsrProblem randomCsrProblem(std::uint64_t seed) {
   return p;
 }
 
-TEST(SolverSoA, MatchesReferenceBitwiseOnRandomProblems) {
-  // The SoA compaction performs the same floating-point operations in the
-  // same order as the reference walk (weights accumulate in flow-then-
-  // adjacency order, min over delta candidates is order-independent, frozen
-  // flows add delta * 0.0), so the two paths must agree bit for bit -- not
-  // within a tolerance.  This equality is what lets ε = 0 runs keep their
-  // golden CSV bytes across the layout change.
+TEST(MaxMinCertificate, HoldsForPerFlowSolvesOnRandomProblems) {
+  // Mixed weights, caps and ~15% zero-capacity resources: every solve must
+  // pass the certificate, and the dead flows must get exactly 0.
+  std::size_t withDead = 0;
   for (std::uint64_t seed = 500; seed < 540; ++seed) {
     const auto p = randomCsrProblem(seed);
-    SolverWorkspace fast;
-    SolverWorkspace reference;
-    std::vector<double> fastRates(p.subset.size(), -1.0);
-    std::vector<double> referenceRates(p.subset.size(), -1.0);
-    const auto fastIters = fast.solveSubset(p.view(), p.subset, fastRates);
-    const auto refIters =
-        reference.solveSubsetReference(p.view(), p.subset, referenceRates);
-    EXPECT_EQ(fastIters, refIters) << "seed " << seed;
-    for (std::size_t f = 0; f < fastRates.size(); ++f) {
-      EXPECT_EQ(fastRates[f], referenceRates[f])
-          << "seed " << seed << " flow " << f << " diverged";
+    SolverWorkspace workspace;
+    std::vector<double> rates(p.subset.size(), -1.0);
+    workspace.solveSubset(p.view(), p.subset, rates);
+    expectMaxMinCertificate(p, rates, "seed " + std::to_string(seed));
+    bool anyDead = false;
+    for (const auto f : p.subset) {
+      for (std::uint32_t k = 0; k < p.adjLen[f]; ++k) {
+        if (p.capacity[p.adjacency[p.adjOffset[f] + k]] <= 0.0) {
+          EXPECT_EQ(rates[f], 0.0) << "seed " << seed << " dead flow " << f;
+          anyDead = true;
+        }
+      }
     }
+    withDead += anyDead ? 1 : 0;
   }
+  EXPECT_GT(withDead, 10u) << "dead flows must occur in many instances";
 }
 
 TEST(SolverSoA, WorkspaceReuseDoesNotLeakStateAcrossSolves) {
@@ -359,7 +373,7 @@ TEST(SolverSoA, InvalidFlowsAreRejected) {
   EXPECT_THROW(workspace.solveSubset(view, unknownRes, rates), util::ContractError);
 }
 
-// --- Flow classes (multiplicity) vs the expanded reference walk ----------
+// --- Flow classes (compileClasses + solveCompiled) vs the expanded walk ----
 
 /// A random problem of flow classes sharing one non-dyadic weight, plus the
 /// same problem expanded into one flow per member (members of different
@@ -370,10 +384,11 @@ struct ClassProblem {
   CsrProblem expanded;  // one slot per member flow
   std::vector<std::uint32_t> classOfFlow;
 
-  SolverView classView() const {
-    auto view = classes.view();
-    view.multiplicity = multiplicity;
-    return view;
+  /// Compiles the classes in their numbered order and fills them once.
+  std::size_t solveClasses(SolverWorkspace& workspace, std::span<double> rates) const {
+    CompiledClasses compiled;
+    workspace.compileClasses(classes.view(), classes.subset, compiled);
+    return workspace.solveCompiled(compiled, classes.capacity, multiplicity, rates);
   }
 };
 
@@ -445,7 +460,7 @@ void expandClasses(ClassProblem& p, util::Rng& rng) {
 
 TEST(SolverSoA, ClassSolveMatchesExpandedReferenceBitwise) {
   // A class with multiplicity m must receive exactly the rate each of its m
-  // expanded member flows gets from the per-flow reference walk -- bit for
+  // expanded member flows gets from the per-flow walk -- bit for
   // bit and in the same number of filling iterations.  The weight 0.93/3 is
   // not dyadic, so sums of its copies round: the class path must rebuild
   // every resource's active weight by the same sequence of additions (and
@@ -457,9 +472,8 @@ TEST(SolverSoA, ClassSolveMatchesExpandedReferenceBitwise) {
     SolverWorkspace reference;
     std::vector<double> classRates(p.multiplicity.size(), -1.0);
     std::vector<double> flowRates(p.classOfFlow.size(), -1.0);
-    const auto classIters = classWorkspace.solveSubset(p.classView(), p.classes.subset, classRates);
-    const auto refIters =
-        reference.solveSubsetReference(p.expanded.view(), p.expanded.subset, flowRates);
+    const auto classIters = p.solveClasses(classWorkspace, classRates);
+    const auto refIters = reference.solveSubset(p.expanded.view(), p.expanded.subset, flowRates);
     EXPECT_EQ(classIters, refIters) << "seed " << seed;
     for (std::size_t f = 0; f < flowRates.size(); ++f) {
       EXPECT_EQ(std::bit_cast<std::uint64_t>(classRates[p.classOfFlow[f]]),
@@ -512,8 +526,7 @@ TEST(SolverSoA, CompiledClassesResolveMatchesExpandedReferenceBitwise) {
       countedRounds += anyDead ? 0 : 1;
 
       std::vector<double> flowRates(p.classOfFlow.size(), -1.0);
-      const auto refIters =
-          reference.solveSubsetReference(p.expanded.view(), p.expanded.subset, flowRates);
+      const auto refIters = reference.solveSubset(p.expanded.view(), p.expanded.subset, flowRates);
       for (const bool withCounts : {false, true}) {
         std::vector<double> classRates(p.multiplicity.size(), -1.0);
         const auto iters = workspace.solveCompiled(
@@ -536,7 +549,7 @@ TEST(SolverSoA, CompiledClassesResolveMatchesExpandedReferenceBitwise) {
 
 TEST(SolverSoA, OneLevelFillMatchesExpandedReferenceBitwise) {
   // The compiled class solve keeps one fill level for every filling class
-  // instead of a rate per class.  Against the per-flow reference walk over
+  // instead of a rate per class.  Against the per-flow walk over
   // the expanded flows it must still give bit-equal rates in the same
   // number of iterations: for dyadic and non-dyadic weights, member counts
   // up to 10^4, caps placed below, exactly at and above the rate at which
@@ -557,7 +570,7 @@ TEST(SolverSoA, OneLevelFillMatchesExpandedReferenceBitwise) {
       // class's saturation rate.
       std::fill(p.classes.rateCap.begin(), p.classes.rateCap.end(), 0.0);
       std::vector<double> uncapped(p.multiplicity.size(), -1.0);
-      workspace.solveSubset(p.classView(), p.classes.subset, uncapped);
+      p.solveClasses(workspace, uncapped);
       for (std::size_t c = 0; c < uncapped.size(); ++c) {
         if (uncapped[c] <= 0.0 || !rng.bernoulli(0.6)) continue;
         const auto where = rng.uniformInt(0, 2);
@@ -582,7 +595,7 @@ TEST(SolverSoA, OneLevelFillMatchesExpandedReferenceBitwise) {
         }
         std::vector<double> flowRates(p.classOfFlow.size(), -1.0);
         const auto refIters =
-            reference.solveSubsetReference(p.expanded.view(), p.expanded.subset, flowRates);
+            reference.solveSubset(p.expanded.view(), p.expanded.subset, flowRates);
         std::vector<double> classRates(p.multiplicity.size(), -1.0);
         const auto iters =
             workspace.solveCompiled(compiled, p.classes.capacity, p.multiplicity, classRates);
@@ -612,16 +625,17 @@ TEST(SolverSoA, OneLevelFillMatchesExpandedReferenceBitwise) {
 }
 
 TEST(SolverSoA, ClassSolveWithUnitMultiplicityIsThePerFlowSolve) {
-  // Multiplicity 1 everywhere is the per-flow solve under another name.
+  // Every flow its own class of one member is the per-flow solve under
+  // another name.
   const auto p = randomClassProblem(77);
   const std::vector<std::uint32_t> ones(p.expanded.subset.size(), 1);
-  auto view = p.expanded.view();
   SolverWorkspace workspace;
   std::vector<double> plain(ones.size(), -1.0);
   std::vector<double> unit(ones.size(), -1.0);
-  const auto plainIters = workspace.solveSubset(view, p.expanded.subset, plain);
-  view.multiplicity = ones;
-  const auto unitIters = workspace.solveSubset(view, p.expanded.subset, unit);
+  const auto plainIters = workspace.solveSubset(p.expanded.view(), p.expanded.subset, plain);
+  CompiledClasses compiled;
+  workspace.compileClasses(p.expanded.view(), p.expanded.subset, compiled);
+  const auto unitIters = workspace.solveCompiled(compiled, p.expanded.capacity, ones, unit);
   EXPECT_EQ(plainIters, unitIters);
   for (std::size_t f = 0; f < plain.size(); ++f) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(plain[f]), std::bit_cast<std::uint64_t>(unit[f]));
@@ -635,21 +649,47 @@ TEST(SolverSoA, ClassSolveRejectsMixedWeightsAndEmptyClasses) {
   const std::vector<std::uint32_t> adjLen{1, 1};
   const std::vector<double> weight{1.0, 2.0};
   const std::vector<double> rateCap{0.0, 0.0};
-  const std::vector<std::uint32_t> multiplicity{3, 2};
-  SolverView view{capacity, adjacency, adjOffset, adjLen, weight, rateCap};
-  view.multiplicity = multiplicity;
+  const SolverView view{capacity, adjacency, adjOffset, adjLen, weight, rateCap};
   SolverWorkspace workspace;
-  std::vector<double> rates(2, 0.0);
+  CompiledClasses compiled;
   const std::vector<std::uint32_t> both{0, 1};
-  EXPECT_THROW(workspace.solveSubset(view, both, rates), util::ContractError)
+  EXPECT_THROW(workspace.compileClasses(view, both, compiled), util::ContractError)
       << "mixed weights cannot be solved as classes";
-  EXPECT_THROW(workspace.solveSubsetReference(view, both, rates), util::ContractError)
-      << "the reference walk solves plain flows only";
-  const std::vector<std::uint32_t> noMembers{0, 0};
-  view.multiplicity = noMembers;
   const std::vector<std::uint32_t> first{0};
-  EXPECT_THROW(workspace.solveSubset(view, first, rates), util::ContractError)
+  workspace.compileClasses(view, first, compiled);
+  const std::vector<std::uint32_t> noMembers{0, 0};
+  std::vector<double> rates(2, 0.0);
+  EXPECT_THROW(workspace.solveCompiled(compiled, capacity, noMembers, rates), util::ContractError)
       << "a class needs at least one member";
+}
+
+TEST(MaxMinCertificate, HoldsForCompiledClassSolvesOverTheExpandedFlows) {
+  // The class solve's rates, handed to every member of the expanded problem,
+  // must pass the certificate -- for dyadic and non-dyadic weights, member
+  // counts up to 10^4, zero capacities and disconnected groups.
+  std::size_t withDead = 0;
+  std::size_t withBig = 0;
+  for (const double weight : {0.125, 0.93 / 3.0, 1.0}) {
+    for (std::uint64_t seed = 1500; seed < 1530; ++seed) {
+      const auto p = randomClassProblem(seed, weight, 0.1);
+      SolverWorkspace workspace;
+      std::vector<double> classRates(p.multiplicity.size(), -1.0);
+      p.solveClasses(workspace, classRates);
+      std::vector<double> flowRates(p.classOfFlow.size());
+      for (std::size_t f = 0; f < flowRates.size(); ++f) {
+        flowRates[f] = classRates[p.classOfFlow[f]];
+      }
+      expectMaxMinCertificate(p.expanded, flowRates,
+                              "weight " + std::to_string(weight) + " seed " + std::to_string(seed));
+      withDead += std::find(p.classes.capacity.begin(), p.classes.capacity.end(), 0.0) !=
+                          p.classes.capacity.end()
+                      ? 1
+                      : 0;
+      withBig += *std::max_element(p.multiplicity.begin(), p.multiplicity.end()) >= 1000 ? 1 : 0;
+    }
+  }
+  EXPECT_GT(withDead, 20u) << "zero capacities must kill classes in many instances";
+  EXPECT_GT(withBig, 20u) << "many instances must hold a class of 10^3..10^4 members";
 }
 
 }  // namespace

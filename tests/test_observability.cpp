@@ -105,21 +105,6 @@ TEST(ObserverHub, RemoveDetachesOnlyThatObserver) {
   EXPECT_EQ(b.started, 1);
 }
 
-TEST(ObserverHub, ComposesWithSetObserver) {
-  // A legacy observer installed through the raw single slot still gets
-  // events after a second one is added via addObserver.
-  FluidSimulator fluid;
-  const auto link = fluid.addResource(ResourceSpec{"link", constantCapacity(100.0)});
-  CountingObserver legacy;
-  CountingObserver added;
-  fluid.setObserver(&legacy);
-  fluid.addObserver(&added);
-  runOneFlow(fluid, link);
-
-  EXPECT_EQ(legacy.started, 1);
-  EXPECT_EQ(added.started, 1);
-}
-
 TEST(ObserverHub, SelfRemovalDuringDispatchIsSafe) {
   FluidSimulator fluid;
   const auto link = fluid.addResource(ResourceSpec{"link", constantCapacity(100.0)});
@@ -145,8 +130,8 @@ TEST(ObserverHub, DuplicateAddIsIgnored) {
 }
 
 TEST(Tracer, DoesNotClobberEarlierObserver) {
-  // Regression: the FlowTracer constructor used setObserver and silently
-  // disconnected whatever was installed before it.
+  // Regression: the FlowTracer constructor once took the simulator's single
+  // observer slot and silently disconnected whatever was installed before it.
   FluidSimulator fluid;
   const auto link = fluid.addResource(ResourceSpec{"link", constantCapacity(100.0)});
   CountingObserver first;
@@ -159,8 +144,8 @@ TEST(Tracer, DoesNotClobberEarlierObserver) {
 }
 
 TEST(Tracer, DestructionDetachesOnlyItself) {
-  // Regression: the FlowTracer destructor used setObserver(nullptr) and tore
-  // down observers installed *after* it.
+  // Regression: the FlowTracer destructor once cleared the simulator's
+  // observer slot and tore down observers installed *after* it.
   FluidSimulator fluid;
   const auto link = fluid.addResource(ResourceSpec{"link", constantCapacity(100.0)});
   auto tracer = std::make_unique<FlowTracer>(fluid);
