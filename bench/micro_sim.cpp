@@ -319,7 +319,8 @@ void writeFluidCoreBench() {
 //     solver legs -- the reference mode (every component flow by flow) at
 //     ε=0, and the default path with ε-bounded deferral;
 //   * the same scenario untraced vs FlowTracer vs RingTraceSink, measuring
-//     tracing overhead as a percentage of untraced wall time;
+//     tracing overhead as a percentage of untraced wall time (the median
+//     over rounds of back-to-back untraced/traced pairs);
 //   * a paper-topology campaign scaled ~1000x in rank count (the paper's
 //     Scenario-2 jobs are 4 nodes x 8 ppn = 32 ranks), run end to end
 //     through runOnce at ε=0 and ε>0.
@@ -418,7 +419,7 @@ struct NoObserver {
   int operator()(sim::FluidSimulator&) const { return 0; }
 };
 
-/// Scale-bench repetitions per leg (set by mode).  Each leg keeps its best
+/// Solver-leg repetitions (set by mode).  Each leg keeps its best
 /// (lowest wall-per-sim-second) repetition: transient noise -- scheduler
 /// preemption, frequency ramps -- only ever makes a run *slower*, so the
 /// minimum is the stable estimator the CI guard needs.
@@ -427,8 +428,7 @@ std::size_t gScaleRepeats = 1;
 /// Run a set of legs `gScaleRepeats` times round-robin and keep each leg's
 /// best repetition.  Interleaving matters: running all repetitions of one leg
 /// back to back would let slow drift (turbo decay, thermal throttling) bias
-/// whichever leg happens to run last, which shows up as phantom overhead in
-/// the traced-vs-untraced comparison.
+/// whichever leg happens to run last.
 std::vector<ScaleLeg> bestScaleLegs(
     const std::vector<std::function<ScaleLeg()>>& legs) {
   std::vector<ScaleLeg> best;
@@ -470,47 +470,81 @@ util::JsonValue benchScaleSolver(const ScaleShape& shape, double epsilon,
   return util::JsonValue(std::move(entry));
 }
 
+/// Tracing rounds (set by mode).  An overhead of a few percent drowns in the
+/// host's drift between two short windows, so the tracing legs are compared
+/// pair by pair: each round runs the untraced leg and both traced legs back
+/// to back, and the reported overhead is the median over rounds of each
+/// traced leg's wall time against its own round's untraced leg.
+std::size_t gTraceRounds = 1;
+
+double medianOf(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t n = values.size();
+  return n % 2 == 1 ? values[n / 2] : 0.5 * (values[n / 2 - 1] + values[n / 2]);
+}
+
 util::JsonValue benchScaleTracing(const ScaleShape& shape, double simWindow,
                                   double* ringOverheadOut) {
   // All three legs run the exact (ε=0) default path; only the attached
-  // observer differs, so the wall-time delta is tracing cost alone.
+  // observer differs, so the wall-time delta is tracing cost alone.  The
+  // full tracer keeps its event log, as the trace exports do.
   std::uint64_t ringRecorded = 0;
-  const auto legs = bestScaleLegs({
-      [&] { return runScaleLeg(shape, false, 0.0, simWindow, NoObserver{}); },
-      [&] {
-        return runScaleLeg(shape, false, 0.0, simWindow, [](sim::FluidSimulator& f) {
-          return std::make_unique<sim::FlowTracer>(f);
-        });
-      },
-      [&] {
-        return runScaleLeg(shape, false, 0.0, simWindow, [&](sim::FluidSimulator& f) {
-          struct Hold {
-            sim::RingTraceSink sink;
-            std::uint64_t* recorded;
-            Hold(sim::FluidSimulator& fluid, std::uint64_t* out)
-                : sink(fluid, 1u << 20), recorded(out) {}
-            ~Hold() { *recorded = sink.recorded(); }
-          };
-          return std::make_unique<Hold>(f, &ringRecorded);
-        });
-      },
-  });
-  const ScaleLeg& untraced = legs[0];
-  const ScaleLeg& fullTraced = legs[1];
-  const ScaleLeg& ringTraced = legs[2];
-
-  const auto overheadPct = [&](const ScaleLeg& leg) {
+  const auto untracedLeg = [&] {
+    return runScaleLeg(shape, false, 0.0, simWindow, NoObserver{});
+  };
+  const auto ringLeg = [&] {
+    return runScaleLeg(shape, false, 0.0, simWindow, [&](sim::FluidSimulator& f) {
+      struct Hold {
+        sim::RingTraceSink sink;
+        std::uint64_t* recorded;
+        Hold(sim::FluidSimulator& fluid, std::uint64_t* out)
+            : sink(fluid, 1u << 20), recorded(out) {}
+        ~Hold() { *recorded = sink.recorded(); }
+      };
+      return std::make_unique<Hold>(f, &ringRecorded);
+    });
+  };
+  const auto fullLeg = [&] {
+    return runScaleLeg(shape, false, 0.0, simWindow, [](sim::FluidSimulator& f) {
+      auto tracer = std::make_unique<sim::FlowTracer>(f);
+      tracer->enableEventLog();
+      return tracer;
+    });
+  };
+  const auto overheadPct = [](const ScaleLeg& leg, const ScaleLeg& untraced) {
     return 100.0 * (leg.wallPerSimSecond - untraced.wallPerSimSecond) /
            untraced.wallPerSimSecond;
   };
+  std::vector<double> ringPct;
+  std::vector<double> fullPct;
+  double untracedEventsPerS = 0.0;
+  for (std::size_t round = 0; round < gTraceRounds; ++round) {
+    // The ring leg, the guarded one, runs right next to the untraced leg,
+    // on alternate sides, so a steady drift of host speed favours neither.
+    ScaleLeg untraced;
+    ScaleLeg ring;
+    if (round % 2 == 0) {
+      untraced = untracedLeg();
+      ring = ringLeg();
+    } else {
+      ring = ringLeg();
+      untraced = untracedLeg();
+    }
+    const ScaleLeg full = fullLeg();
+    untracedEventsPerS = std::max(untracedEventsPerS, untraced.eventsPerS);
+    ringPct.push_back(overheadPct(ring, untraced));
+    fullPct.push_back(overheadPct(full, untraced));
+  }
+
   util::JsonObject entry;
   entry["flows"] = static_cast<double>(shape.apps * shape.flowsPerApp);
   entry["resources"] = static_cast<double>(shape.apps * shape.resPerApp);
-  entry["untraced_events_per_s"] = untraced.eventsPerS;
-  entry["full_tracer_overhead_pct"] = overheadPct(fullTraced);
-  entry["ring_sink_overhead_pct"] = overheadPct(ringTraced);
+  entry["rounds"] = static_cast<double>(gTraceRounds);
+  entry["untraced_events_per_s"] = untracedEventsPerS;
+  entry["full_tracer_overhead_pct"] = medianOf(fullPct);
+  entry["ring_sink_overhead_pct"] = medianOf(ringPct);
   entry["ring_records"] = static_cast<double>(ringRecorded);
-  if (ringOverheadOut != nullptr) *ringOverheadOut = overheadPct(ringTraced);
+  if (ringOverheadOut != nullptr) *ringOverheadOut = medianOf(ringPct);
   return util::JsonValue(std::move(entry));
 }
 
@@ -559,14 +593,17 @@ int runScaleBench(bool smoke, bool quick) {
     simWindow = 0.2;
     campaignNodes = 32;
     gScaleRepeats = 1;
+    gTraceRounds = 1;
   } else if (quick) {
     shape = ScaleShape{100, 10, 100, 0.4};
     simWindow = 0.5;
     campaignNodes = 512;
     gScaleRepeats = 5;
+    gTraceRounds = 11;
   } else {
     shape = ScaleShape{100, 10, 100, 0.8};
     gScaleRepeats = 5;
+    gTraceRounds = 11;
   }
 
   double scaleSpeedup = 0.0;

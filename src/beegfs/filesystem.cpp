@@ -264,7 +264,7 @@ void FileSystem::transferAsync(std::size_t node, FileHandle handle, util::Bytes 
   }
   BEESIM_ASSERT(flowsToStart > 0, "transfer touched no target");
 
-  const auto transfer = allocateTransfer();
+  const auto transfer = transfers_.allocate();
   auto& state = transferAt(transfer);
   state.node = node;
   state.handleValue = handle.value;
@@ -283,6 +283,7 @@ void FileSystem::issueChunk(TransferId transfer, std::size_t stripeSlot, util::B
   // QoS admission gates the write path only, and only first attempts: a
   // re-issue after a timeout/failover carries bytes whose tokens were spent
   // at the original admission, so the retry ladder can never double-spend.
+  // The resume closure becomes a std::function only if the chunk queues.
   if (qos_ != nullptr && failedAt < 0.0 && transferAt(transfer).isWrite) {
     const bool admitted = qos_->admitChunk(
         transferAt(transfer).node, bytes, [this, transfer, stripeSlot, bytes] {
@@ -324,8 +325,8 @@ void FileSystem::issueChunkAdmitted(TransferId transfer, std::size_t stripeSlot,
     // A substitute outside any group (odd host counts): plain chunk below.
   }
 
-  if (policy.mode != ClientFaultPolicy::Mode::kNone &&
-      !deployment_.mgmt().target(target).online) {
+  const bool watched = policy.mode != ClientFaultPolicy::Mode::kNone;
+  if (watched && !deployment_.mgmt().target(target).online) {
     // The registry already reports the target dead: don't wait for a
     // timeout.  Strict mode aborts; degraded mode reroutes immediately.
     if (policy.mode == ClientFaultPolicy::Mode::kStrict) {
@@ -343,31 +344,28 @@ void FileSystem::issueChunkAdmitted(TransferId transfer, std::size_t stripeSlot,
   // not reclaimed by the model (they leak until an offline cleanup).
   if (isWrite) deployment_.mgmt().recordUsage(target, bytes);
 
-  if (deployment_.params().hedge.enabled && isWrite) {
-    // Track the chunk for hedging: the original leg resolves through the
-    // track so a later hedge leg and it race cleanly (first wins).
-    auto track = std::make_shared<HedgeTrack>();
-    track->transfer = transfer;
-    track->stripeSlot = stripeSlot;
-    track->bytes = bytes;
-    track->target = target;
-    track->failedAt = failedAt;
-    track->tried.push_back(target);
-    track->primaryFlow = fluid.startFlow(sim::FlowSpec{
+  const bool hedged = deployment_.params().hedge.enabled && isWrite;
+  if (hedged || watched) {
+    // A hedged chunk resolves through its record so a later hedge leg and
+    // the original race cleanly (first wins); a watched one keeps what its
+    // watchdog and retry ladder need.
+    const auto control = allocateControl(transfer, stripeSlot, bytes, target, failedAt);
+    if (hedged) {
+      auto& record = *controls_.find(control);
+      record.hedged = true;
+      record.tried.push_back(target);
+      ++hedgedLive_;
+    }
+    const auto flow = fluid.startFlow(sim::FlowSpec{
         .path = deployment_.writePath(node, target),
         .bytes = bytes,
         .queueWeight = queueWeight,
         .rateCap = 0.0,
-        .onComplete =
-            [this, track](const sim::FlowStats& s) {
-              resolveHedged(track, /*hedgeWon=*/false, s.meanRate());
-            },
+        .onComplete = [this, control](const sim::FlowStats& s) { primaryLegDone(control, s); },
     });
-    hedged_[track->primaryFlow.value] = track;
-    if (policy.mode != ClientFaultPolicy::Mode::kNone) {
-      armWatchdog(transfer, stripeSlot, bytes, target, track->primaryFlow, failedAt);
-    }
-    armHedge(track);
+    controls_.find(control)->primaryFlow = flow;
+    if (watched) armWatchdog(control);
+    if (hedged) armHedge(control);
     return;
   }
 
@@ -382,75 +380,104 @@ void FileSystem::issueChunkAdmitted(TransferId transfer, std::size_t stripeSlot,
       finishChunk(transfer);
     };
   }
-  const auto flow = fluid.startFlow(sim::FlowSpec{
+  fluid.startFlow(sim::FlowSpec{
       .path = deployment_.writePath(node, target),
       .bytes = bytes,
       .queueWeight = queueWeight,
       .rateCap = 0.0,
       .onComplete = std::move(onComplete),
   });
-  if (policy.mode != ClientFaultPolicy::Mode::kNone) {
-    armWatchdog(transfer, stripeSlot, bytes, target, flow, failedAt);
+}
+
+void FileSystem::primaryLegDone(ControlId control, const sim::FlowStats& stats) {
+  const ChunkControl* record = controls_.find(control);
+  if (record == nullptr) return;  // a hedge leg already resolved the chunk
+  if (record->hedged) {
+    resolveHedged(control, /*hedgeWon=*/false, stats.meanRate());
+    return;
   }
+  const TransferId transfer = record->transfer;
+  const util::Seconds failedAt = record->failedAt;
+  freeControl(control);  // the pending watchdog turns into a no-op
+  if (failedAt >= 0.0) faultStats_.degradedTime += stats.endTime - failedAt;
+  finishChunk(transfer);
 }
 
-void FileSystem::armWatchdog(TransferId transfer, std::size_t stripeSlot, util::Bytes bytes,
-                             std::size_t target, sim::FlowId flow, util::Seconds failedAt) {
+void FileSystem::armWatchdog(ControlId control) {
+  deployment_.fluid().engine().scheduleAfter(deployment_.params().faults.ioTimeout,
+                                             [this, control] { watchdogFired(control); });
+}
+
+void FileSystem::watchdogFired(ControlId control) {
   auto& fluid = deployment_.fluid();
-  fluid.engine().scheduleAfter(
-      deployment_.params().faults.ioTimeout,
-      [this, transfer, stripeSlot, bytes, target, flow, failedAt] {
-        auto& fluid = deployment_.fluid();
-        if (!fluid.flowActive(flow)) return;  // chunk finished meanwhile
-        if (deployment_.mgmt().target(target).online) {
-          // Still making (possibly slow) progress on a live target.
-          armWatchdog(transfer, stripeSlot, bytes, target, flow, failedAt);
-          return;
-        }
-        // The chunk sat unfinished for a full ioTimeout and its target is
-        // registered offline: the client declares it failed.  The retry
-        // ladder owns the chunk from here; any hedge leg is torn down.
-        fluid.cancelFlow(flow);
-        dropHedgeTrack(flow);
-        ++faultStats_.timeouts;
-        const util::Seconds detectedAt = failedAt >= 0.0 ? failedAt : fluid.now();
-        const auto& policy = deployment_.params().faults;
-        if (policy.mode == ClientFaultPolicy::Mode::kStrict) {
-          faultStats_.aborted = true;
-          faultStats_.degradedTime += fluid.now() - detectedAt;
-          finishChunk(transfer);
-          return;
-        }
-        scheduleRetry(transfer, stripeSlot, bytes, target, /*attempt=*/0, detectedAt);
-      });
+  const ChunkControl* record = controls_.find(control);
+  // The chunk finished meanwhile (or its record moved on to a new tenant).
+  if (record == nullptr || !fluid.flowActive(record->primaryFlow)) return;
+  if (deployment_.mgmt().target(record->target).online) {
+    // Still making (possibly slow) progress on a live target.
+    armWatchdog(control);
+    return;
+  }
+  // The chunk sat unfinished for a full ioTimeout and its target is
+  // registered offline: the client declares it failed.  The retry ladder
+  // owns the chunk from here; any hedge leg is torn down.
+  const TransferId transfer = record->transfer;
+  const std::size_t stripeSlot = record->stripeSlot;
+  const util::Bytes bytes = record->bytes;
+  const std::size_t target = record->target;
+  const sim::FlowId primaryFlow = record->primaryFlow;
+  const sim::FlowId hedgeFlow = record->hedgeFlow;
+  const util::Seconds detectedAt = record->failedAt >= 0.0 ? record->failedAt : fluid.now();
+  freeControl(control);  // pending hedge timers become no-ops
+  fluid.cancelFlow(primaryFlow);
+  if (hedgeFlow.value != 0 && fluid.flowActive(hedgeFlow)) fluid.cancelFlow(hedgeFlow);
+  ++faultStats_.timeouts;
+  if (deployment_.params().faults.mode == ClientFaultPolicy::Mode::kStrict) {
+    faultStats_.aborted = true;
+    faultStats_.degradedTime += fluid.now() - detectedAt;
+    finishChunk(transfer);
+    return;
+  }
+  armRetry(allocateControl(transfer, stripeSlot, bytes, target, detectedAt));
 }
 
-void FileSystem::scheduleRetry(TransferId transfer, std::size_t stripeSlot, util::Bytes bytes,
-                               std::size_t target, int attempt, util::Seconds failedAt) {
+void FileSystem::armRetry(ControlId control) {
   const auto& policy = deployment_.params().faults;
   const util::Seconds wait =
-      policy.backoffBase * std::pow(policy.backoffFactor, static_cast<double>(attempt));
-  deployment_.fluid().engine().scheduleAfter(
-      wait, [this, transfer, stripeSlot, bytes, target, attempt, failedAt] {
-        if (faultStats_.aborted) {
-          faultStats_.degradedTime += deployment_.fluid().now() - failedAt;
-          finishChunk(transfer);
-          return;
-        }
-        if (deployment_.mgmt().target(target).online) {
-          // The target came back: re-send the whole chunk to it (nothing
-          // written during the failure window is trusted).
-          ++faultStats_.retries;
-          faultStats_.bytesRewritten += bytes;
-          issueChunk(transfer, stripeSlot, bytes, failedAt);
-          return;
-        }
-        if (attempt + 1 < deployment_.params().faults.maxRetries) {
-          scheduleRetry(transfer, stripeSlot, bytes, target, attempt + 1, failedAt);
-          return;
-        }
-        failOverChunk(transfer, stripeSlot, bytes, failedAt, /*rewrite=*/true);
-      });
+      policy.backoffBase *
+      std::pow(policy.backoffFactor, static_cast<double>(controls_.find(control)->attempt));
+  deployment_.fluid().engine().scheduleAfter(wait, [this, control] { retryFired(control); });
+}
+
+void FileSystem::retryFired(ControlId control) {
+  ChunkControl* record = controls_.find(control);
+  BEESIM_ASSERT(record != nullptr, "a retry record is freed only by its own timer");
+  const TransferId transfer = record->transfer;
+  const std::size_t stripeSlot = record->stripeSlot;
+  const util::Bytes bytes = record->bytes;
+  const util::Seconds failedAt = record->failedAt;
+  if (faultStats_.aborted) {
+    freeControl(control);
+    faultStats_.degradedTime += deployment_.fluid().now() - failedAt;
+    finishChunk(transfer);
+    return;
+  }
+  if (deployment_.mgmt().target(record->target).online) {
+    // The target came back: re-send the whole chunk to it (nothing
+    // written during the failure window is trusted).
+    freeControl(control);
+    ++faultStats_.retries;
+    faultStats_.bytesRewritten += bytes;
+    issueChunk(transfer, stripeSlot, bytes, failedAt);
+    return;
+  }
+  if (record->attempt + 1 < deployment_.params().faults.maxRetries) {
+    ++record->attempt;
+    armRetry(control);
+    return;
+  }
+  freeControl(control);
+  failOverChunk(transfer, stripeSlot, bytes, failedAt, /*rewrite=*/true);
 }
 
 void FileSystem::failOverChunk(TransferId transfer, std::size_t stripeSlot, util::Bytes bytes,
@@ -471,23 +498,10 @@ void FileSystem::failOverChunk(TransferId transfer, std::size_t stripeSlot, util
   issueChunk(transfer, stripeSlot, bytes, failedAt);
 }
 
-FileSystem::TransferId FileSystem::allocateTransfer() {
-  if (freeTransfers_.empty()) {
-    freeTransfers_.push_back(static_cast<std::uint32_t>(transfers_.size()));
-    transfers_.emplace_back();
-  }
-  const auto slot = freeTransfers_.back();
-  freeTransfers_.pop_back();
-  auto& state = transfers_[slot];
-  state.id = slot | std::uint64_t{++state.generation} << 32;
-  return TransferId{state.id};
-}
-
 FileSystem::TransferState& FileSystem::transferAt(TransferId id) {
-  const auto slot = static_cast<std::uint32_t>(id.value);
-  BEESIM_ASSERT(slot < transfers_.size() && transfers_[slot].id == id.value && id.value != 0,
-                "stale transfer handle");
-  return transfers_[slot];
+  TransferState* state = transfers_.find(id);
+  BEESIM_ASSERT(state != nullptr, "stale transfer handle");
+  return *state;
 }
 
 void FileSystem::finishChunk(TransferId transfer) {
@@ -499,53 +513,70 @@ void FileSystem::finishChunk(TransferId transfer) {
   const auto done = std::move(state.done);
   state.done = nullptr;
   if (done) done(deployment_.fluid().now());
-  auto& freed = transferAt(transfer);
-  freed.id = 0;
-  freeTransfers_.push_back(static_cast<std::uint32_t>(transfer.value));
+  transfers_.release(transfer);
+}
+
+FileSystem::ControlId FileSystem::allocateControl(TransferId transfer, std::size_t stripeSlot,
+                                                  util::Bytes bytes, std::size_t target,
+                                                  util::Seconds failedAt) {
+  const ControlId control = controls_.allocate();
+  auto& record = *controls_.find(control);
+  record.transfer = transfer;
+  record.stripeSlot = stripeSlot;
+  record.bytes = bytes;
+  record.target = target;
+  record.failedAt = failedAt;
+  record.primaryFlow = sim::FlowId{};
+  record.hedged = false;
+  record.hedgeFlow = sim::FlowId{};
+  record.hedgeTarget = 0;
+  record.hedges = 0;
+  record.attempt = 0;
+  record.tried.clear();
+  return control;
+}
+
+void FileSystem::freeControl(ControlId id) {
+  const ChunkControl* record = controls_.find(id);
+  BEESIM_ASSERT(record != nullptr, "stale control handle");
+  if (record->hedged) --hedgedLive_;
+  controls_.release(id);
 }
 
 // -- Hedged writes. ----------------------------------------------------------
 
-void FileSystem::armHedge(const std::shared_ptr<HedgeTrack>& track) {
-  deployment_.fluid().engine().scheduleAfter(
-      deployment_.params().hedge.deadline, [this, track] { hedgeCheck(track); });
+void FileSystem::armHedge(ControlId control) {
+  deployment_.fluid().engine().scheduleAfter(deployment_.params().hedge.deadline,
+                                             [this, control] { hedgeCheck(control); });
 }
 
-void FileSystem::hedgeCheck(const std::shared_ptr<HedgeTrack>& track) {
-  if (track->resolved) return;
+void FileSystem::hedgeCheck(ControlId control) {
+  const ChunkControl* record = controls_.find(control);
+  if (record == nullptr) return;  // resolved or dropped: a stale timer
   auto& fluid = deployment_.fluid();
   const auto& policy = deployment_.params().hedge;
 
-  const double primaryRate =
-      fluid.flowActive(track->primaryFlow) ? fluid.flowRate(track->primaryFlow) : 0.0;
-  const double hedgeRate =
-      track->hedgeFlow.value != 0 && fluid.flowActive(track->hedgeFlow)
-          ? fluid.flowRate(track->hedgeFlow)
-          : 0.0;
-  const double best = std::max(primaryRate, hedgeRate);
+  // A leg's rate, 0 for none or a finished one.
+  const auto legRate = [&fluid](sim::FlowId flow) {
+    return flow.value != 0 && fluid.flowActive(flow) ? fluid.flowRate(flow) : 0.0;
+  };
+  const double best = std::max(legRate(record->primaryFlow), legRate(record->hedgeFlow));
 
   // Peer-relative lag: compare against the median best-leg rate of the
-  // other tracked in-flight chunks.  Like the HealthMonitor's score this is
+  // other hedged in-flight chunks.  Like the HealthMonitor's score this is
   // relative on purpose -- a cluster-wide slowdown lags nobody.  A chunk
   // moving zero bytes is lagging with or without peers (dead-but-online).
   bool lagging = best <= 0.0;
   if (!lagging) {
-    std::vector<double> peers;
-    peers.reserve(hedged_.size());
-    for (const auto& [id, other] : hedged_) {
-      if (other == track || other->resolved) continue;
-      const double op = fluid.flowActive(other->primaryFlow)
-                            ? fluid.flowRate(other->primaryFlow)
-                            : 0.0;
-      const double oh =
-          other->hedgeFlow.value != 0 && fluid.flowActive(other->hedgeFlow)
-              ? fluid.flowRate(other->hedgeFlow)
-              : 0.0;
-      peers.push_back(std::max(op, oh));
+    hedgePeers_.clear();
+    for (const auto& other : controls_.records) {
+      if (other.id == 0 || !other.hedged || other.id == control.value) continue;
+      hedgePeers_.push_back(std::max(legRate(other.primaryFlow), legRate(other.hedgeFlow)));
     }
-    if (!peers.empty()) {
-      std::sort(peers.begin(), peers.end());
-      const double median = peers[(peers.size() - 1) / 2];  // lower median
+    if (!hedgePeers_.empty()) {
+      // Sorted, so the table's slot order cannot move the median.
+      std::sort(hedgePeers_.begin(), hedgePeers_.end());
+      const double median = hedgePeers_[(hedgePeers_.size() - 1) / 2];  // lower median
       lagging = median > 0.0 && best < policy.lagRatio * median;
     }
     // The in-flight peer set can be *uniformly* sick: once the healthy
@@ -558,26 +589,26 @@ void FileSystem::hedgeCheck(const std::shared_ptr<HedgeTrack>& track) {
   }
 
   if (!lagging) {
-    armHedge(track);
+    armHedge(control);
     return;
   }
-  if (track->hedges >= policy.maxHedges) return;  // budget spent; stop the timer
+  if (record->hedges >= policy.maxHedges) return;  // budget spent; stop the timer
   // A lagging live hedge leg is replaced like a dead one: it had a full
   // deadline to establish a rate, and `best` already folds it into the lag
   // verdict (a crawling same-host hedge must not pin the chunk to a host
   // whose link degraded after the leg was picked).  issueHedge cancels it.
   std::size_t alt = 0;
-  if (!pickHedgeTarget(*track, alt)) {
-    armHedge(track);  // nowhere to go yet; a repair may open a candidate
+  if (!pickHedgeTarget(*record, alt)) {
+    armHedge(control);  // nowhere to go yet; a repair may open a candidate
     return;
   }
-  issueHedge(track, alt);
-  armHedge(track);
+  issueHedge(control, alt);
+  armHedge(control);
 }
 
-bool FileSystem::pickHedgeTarget(const HedgeTrack& track, std::size_t& out) const {
+bool FileSystem::pickHedgeTarget(const ChunkControl& control, std::size_t& out) const {
   const auto& mgmt = deployment_.mgmt();
-  const std::size_t primaryHost = mgmt.target(track.target).host;
+  const std::size_t primaryHost = mgmt.target(control.target).host;
   // Class 0: the original target's host (keeps the allocation's per-host
   // balance) unless that host is quarantined; class 1: any other
   // non-quarantined host; class 2: anything online (last resort -- better a
@@ -590,7 +621,7 @@ bool FileSystem::pickHedgeTarget(const HedgeTrack& track, std::size_t& out) cons
   for (std::size_t t = 0; t < deployment_.cluster().targetCount(); ++t) {
     const auto& entry = mgmt.target(t);
     if (!entry.online) continue;
-    if (std::find(track.tried.begin(), track.tried.end(), t) != track.tried.end()) {
+    if (std::find(control.tried.begin(), control.tried.end(), t) != control.tried.end()) {
       continue;
     }
     const bool shunned =
@@ -607,39 +638,49 @@ bool FileSystem::pickHedgeTarget(const HedgeTrack& track, std::size_t& out) cons
   return found;
 }
 
-void FileSystem::issueHedge(const std::shared_ptr<HedgeTrack>& track, std::size_t alt) {
+void FileSystem::issueHedge(ControlId control, std::size_t alt) {
   auto& fluid = deployment_.fluid();
+  ChunkControl* record = controls_.find(control);
   // A dead previous hedge leg is abandoned before the replacement starts.
-  if (track->hedgeFlow.value != 0 && fluid.flowActive(track->hedgeFlow)) {
-    fluid.cancelFlow(track->hedgeFlow);
-  }
-  track->hedgeTarget = alt;
-  track->tried.push_back(alt);
-  ++track->hedges;
+  const sim::FlowId previous = record->hedgeFlow;
+  record->hedgeTarget = alt;
+  record->tried.push_back(alt);
+  ++record->hedges;
+  const TransferId transfer = record->transfer;
+  const util::Bytes bytes = record->bytes;
+  if (previous.value != 0 && fluid.flowActive(previous)) fluid.cancelFlow(previous);
   ++hedgeStats_.hedgesIssued;
-  hedgeStats_.bytesHedged += track->bytes;
+  hedgeStats_.bytesHedged += bytes;
   // The duplicate send charges usage like a rewrite (the loser's bytes leak
   // until an offline cleanup); it never passes QoS admission again -- the
   // chunk's tokens were spent when it was first admitted.
-  deployment_.mgmt().recordUsage(alt, track->bytes);
-  track->hedgeFlow = fluid.startFlow(sim::FlowSpec{
-      .path = deployment_.writePath(transferAt(track->transfer).node, alt),
-      .bytes = track->bytes,
-      .queueWeight = transferAt(track->transfer).queueWeight,
+  deployment_.mgmt().recordUsage(alt, bytes);
+  const auto& state = transferAt(transfer);
+  const auto flow = fluid.startFlow(sim::FlowSpec{
+      .path = deployment_.writePath(state.node, alt),
+      .bytes = bytes,
+      .queueWeight = state.queueWeight,
       .rateCap = 0.0,
       .onComplete =
-          [this, track](const sim::FlowStats& s) {
-            resolveHedged(track, /*hedgeWon=*/true, s.meanRate());
+          [this, control](const sim::FlowStats& s) {
+            resolveHedged(control, /*hedgeWon=*/true, s.meanRate());
           },
   });
+  controls_.find(control)->hedgeFlow = flow;
 }
 
-void FileSystem::resolveHedged(const std::shared_ptr<HedgeTrack>& track, bool hedgeWon,
-                               util::MiBps legRate) {
-  if (track->resolved) return;
-  track->resolved = true;
+void FileSystem::resolveHedged(ControlId control, bool hedgeWon, util::MiBps legRate) {
+  const ChunkControl* record = controls_.find(control);
+  if (record == nullptr) return;  // the other leg already resolved the chunk
+  const TransferId transfer = record->transfer;
+  const std::size_t stripeSlot = record->stripeSlot;
+  const std::size_t hedgeTarget = record->hedgeTarget;
+  const sim::FlowId primaryFlow = record->primaryFlow;
+  const sim::FlowId hedgeFlow = record->hedgeFlow;
+  const int hedges = record->hedges;
+  const util::Seconds failedAt = record->failedAt;
+  freeControl(control);  // pending hedge and watchdog timers become no-ops
   auto& fluid = deployment_.fluid();
-  hedged_.erase(track->primaryFlow.value);
   // Winning legs feed the lag reference (same alpha as the HealthMonitor's
   // EWMA).  Losing/cancelled legs never complete, so a stalled primary
   // cannot drag the reference down.
@@ -648,33 +689,16 @@ void FileSystem::resolveHedged(const std::shared_ptr<HedgeTrack>& track, bool he
   }
   if (hedgeWon) {
     ++hedgeStats_.hedgeWins;
-    if (fluid.flowActive(track->primaryFlow)) fluid.cancelFlow(track->primaryFlow);
+    if (fluid.flowActive(primaryFlow)) fluid.cancelFlow(primaryFlow);
     // Re-home the slot: later segments address the winner directly instead
     // of re-fighting the gray target chunk by chunk.
-    substitutes_[{transferAt(track->transfer).handleValue, track->stripeSlot}] =
-        track->hedgeTarget;
+    substitutes_[{transferAt(transfer).handleValue, stripeSlot}] = hedgeTarget;
   } else {
-    if (track->hedges > 0) ++hedgeStats_.primaryWins;
-    if (track->hedgeFlow.value != 0 && fluid.flowActive(track->hedgeFlow)) {
-      fluid.cancelFlow(track->hedgeFlow);
-    }
+    if (hedges > 0) ++hedgeStats_.primaryWins;
+    if (hedgeFlow.value != 0 && fluid.flowActive(hedgeFlow)) fluid.cancelFlow(hedgeFlow);
   }
-  if (track->failedAt >= 0.0) {
-    faultStats_.degradedTime += fluid.now() - track->failedAt;
-  }
-  finishChunk(track->transfer);
-}
-
-void FileSystem::dropHedgeTrack(sim::FlowId primaryFlow) {
-  const auto it = hedged_.find(primaryFlow.value);
-  if (it == hedged_.end()) return;
-  const auto track = it->second;
-  track->resolved = true;  // pending hedge timers become no-ops
-  hedged_.erase(it);
-  auto& fluid = deployment_.fluid();
-  if (track->hedgeFlow.value != 0 && fluid.flowActive(track->hedgeFlow)) {
-    fluid.cancelFlow(track->hedgeFlow);
-  }
+  if (failedAt >= 0.0) faultStats_.degradedTime += fluid.now() - failedAt;
+  finishChunk(transfer);
 }
 
 // -- Buddy mirroring. --------------------------------------------------------

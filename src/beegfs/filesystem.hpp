@@ -140,7 +140,7 @@ class FileSystem {
   const HedgeStats& hedgeStats() const { return hedgeStats_; }
 
   /// In-flight chunks currently tracked for hedging (inspectable by tests).
-  std::size_t hedgedInFlight() const { return hedged_.size(); }
+  std::size_t hedgedInFlight() const { return hedgedLive_; }
 
   /// Quarantine mitigation for mirrored files: switch over every good
   /// mirror group whose *current primary* sits on `host` to its replica
@@ -158,6 +158,45 @@ class FileSystem {
   qos::QosManager* qosManager() const { return qos_; }
 
  private:
+  /// Records named by generation-stamped handles (slot | generation << 32).
+  /// Callbacks capture `this` plus a handle, 16 trivially copyable bytes
+  /// that std::function keeps inline, and every use checks that the handle
+  /// still names its slot's tenant.  `Record` carries `id` (the live
+  /// handle, 0 while the slot is free) and `generation` (bumped on every
+  /// reuse of the slot); `Handle` wraps the handle's `value`.
+  template <typename Record, typename Handle>
+  struct HandleTable {
+    std::vector<Record> records;
+    std::vector<std::uint32_t> freeSlots;
+
+    /// A new handle; the record keeps its previous tenant's fields.
+    Handle allocate() {
+      if (freeSlots.empty()) {
+        freeSlots.push_back(static_cast<std::uint32_t>(records.size()));
+        records.emplace_back();
+      }
+      const auto slot = freeSlots.back();
+      freeSlots.pop_back();
+      auto& record = records[slot];
+      record.id = slot | std::uint64_t{++record.generation} << 32;
+      return Handle{record.id};
+    }
+    /// The live record `handle` names, or nullptr for a stale handle.  The
+    /// pointer is invalidated by the next allocate().
+    Record* find(Handle handle) {
+      const auto slot = static_cast<std::uint32_t>(handle.value);
+      if (handle.value == 0 || slot >= records.size() || records[slot].id != handle.value) {
+        return nullptr;
+      }
+      return &records[slot];
+    }
+    void release(Handle handle) {
+      const auto slot = static_cast<std::uint32_t>(handle.value);
+      records[slot].id = 0;
+      freeSlots.push_back(slot);
+    }
+  };
+
   /// Bookkeeping of one writeAsync/readAsync call: the operation completes
   /// when every chunk resolved (successfully or by abort).  Transfers live
   /// in a slot table (transfers_) and are named by a TransferId.
@@ -172,18 +211,15 @@ class FileSystem {
     std::function<void(util::Seconds)> done;
   };
 
-  /// Generation-stamped handle of a table-owned transfer: slot | generation
-  /// << 32.  Chunk closures capture it (with `this`, 16 trivially copyable
-  /// bytes: std::function keeps that inline, so a plain chunk's completion
-  /// allocates nothing); every use checks it is still the slot's tenant.
+  /// Handle of a table-owned transfer; a plain chunk's completion captures
+  /// it, so it allocates nothing.
   struct TransferId {
     std::uint64_t value = 0;
   };
 
-  TransferId allocateTransfer();
   /// The live transfer `id` names (ContractError for a stale handle).  The
-  /// reference is invalidated by the next allocateTransfer, which a chunk's
-  /// completion may reach through the transfer's `done`.
+  /// reference is invalidated by the next transfer allocation, which a
+  /// chunk's completion may reach through the transfer's `done`.
   TransferState& transferAt(TransferId id);
 
   void transferAsync(std::size_t node, FileHandle handle, util::Bytes offset,
@@ -201,16 +237,6 @@ class FileSystem {
   /// deferred chunk, whose tokens were spent at the wake).
   void issueChunkAdmitted(TransferId transfer, std::size_t stripeSlot, util::Bytes bytes,
                           util::Seconds failedAt);
-  /// Client I/O timeout: re-armed while the flow runs; on an offline target
-  /// it cancels the flow and enters the retry/failover ladder.
-  void armWatchdog(TransferId transfer, std::size_t stripeSlot,
-                   util::Bytes bytes, std::size_t target, sim::FlowId flow,
-                   util::Seconds failedAt);
-  /// Exponential-backoff wait number `attempt`; retries the original target
-  /// if it recovered, else escalates and finally fails over.
-  void scheduleRetry(TransferId transfer, std::size_t stripeSlot,
-                     util::Bytes bytes, std::size_t target, int attempt,
-                     util::Seconds failedAt);
   /// Move the chunk's slot to a surviving target (sampled from rng_).
   /// `rewrite` charges the chunk's bytes to the rewritten counter.
   void failOverChunk(TransferId transfer, std::size_t stripeSlot,
@@ -219,37 +245,66 @@ class FileSystem {
   /// only then frees its slot.
   void finishChunk(TransferId transfer);
 
-  /// One in-flight plain write chunk tracked for hedging: the original leg
-  /// plus at most one live hedge leg; first to land wins, loser cancelled.
-  struct HedgeTrack {
+  /// Control record of one in-flight chunk that needs more than a
+  /// completion: a hedged write (the original leg plus at most one live
+  /// hedge leg; first to land wins, loser cancelled), a chunk under the
+  /// client watchdog (fault mode != kNone), or a chunk waiting out a retry
+  /// backoff.  Records live in a slot table (controls_) and are named by a
+  /// ControlId; plain chunks get none.
+  struct ChunkControl {
+    std::uint64_t id = 0;          ///< the live handle; 0 while the slot is free
+    std::uint32_t generation = 0;  ///< bumped on every reuse of the slot
     TransferId transfer;
     std::size_t stripeSlot = 0;
     util::Bytes bytes = 0;
     std::size_t target = 0;       ///< target of the original leg
+    util::Seconds failedAt = -1.0;
     sim::FlowId primaryFlow{};
+    bool hedged = false;          ///< a member of the hedge peer set
     sim::FlowId hedgeFlow{};      ///< value 0 = no live hedge leg
     std::size_t hedgeTarget = 0;
     int hedges = 0;               ///< hedge legs issued so far
-    std::vector<std::size_t> tried;  ///< targets already given a leg
-    util::Seconds failedAt = -1.0;
-    bool resolved = false;
+    int attempt = 0;              ///< retry backoff wait number
+    std::vector<std::size_t> tried;  ///< targets given a leg; keeps its capacity
   };
 
+  /// Handle of a control record; leg completions and timers capture it.  A
+  /// record is freed when its chunk resolves or is dropped, so a timer
+  /// still pending then holds a stale handle and does nothing.
+  struct ControlId {
+    std::uint64_t value = 0;
+  };
+
+  /// A record pointer (controls_.find) is invalidated by the next
+  /// allocateControl, which startFlow, cancelFlow and finishChunk may
+  /// reach: copy out what is needed before calling them.
+  ControlId allocateControl(TransferId transfer, std::size_t stripeSlot, util::Bytes bytes,
+                            std::size_t target, util::Seconds failedAt);
+  void freeControl(ControlId id);
+
+  /// A watched or hedged chunk's original leg landed.
+  void primaryLegDone(ControlId control, const sim::FlowStats& stats);
+  /// Client I/O timeout: re-armed while the flow runs; on an offline target
+  /// it cancels the flow and enters the retry/failover ladder.
+  void armWatchdog(ControlId control);
+  void watchdogFired(ControlId control);
+  /// Exponential-backoff wait number `attempt` of the record's retry
+  /// ladder; retries the original target if it recovered, else escalates
+  /// and finally fails over.
+  void armRetry(ControlId control);
+  void retryFired(ControlId control);
+
   /// Periodic per-chunk lag check (HedgePolicy::deadline cadence).
-  void armHedge(const std::shared_ptr<HedgeTrack>& track);
-  void hedgeCheck(const std::shared_ptr<HedgeTrack>& track);
+  void armHedge(ControlId control);
+  void hedgeCheck(ControlId control);
   /// Deterministic alternate-target choice: prefers the original target's
   /// host (unless quarantined), then other non-quarantined hosts, then any
   /// online target; within a class lowest (used, index).  Zero randomness.
-  bool pickHedgeTarget(const HedgeTrack& track, std::size_t& out) const;
-  void issueHedge(const std::shared_ptr<HedgeTrack>& track, std::size_t alt);
+  bool pickHedgeTarget(const ChunkControl& control, std::size_t& out) const;
+  void issueHedge(ControlId control, std::size_t alt);
   /// First leg landed: cancel the loser, re-home the slot on a hedge win,
   /// resolve the chunk.
-  void resolveHedged(const std::shared_ptr<HedgeTrack>& track, bool hedgeWon,
-                     util::MiBps legRate);
-  /// The watchdog ladder took the chunk over (registry-offline target):
-  /// forget the track and cancel its hedge leg without resolving the chunk.
-  void dropHedgeTrack(sim::FlowId primaryFlow);
+  void resolveHedged(ControlId control, bool hedgeWon, util::MiBps legRate);
   /// The good-secondary switchover (factored from onMirrorTargetOffline so
   /// quarantine mitigation can reuse it): promote the secondary, re-send the
   /// untransferred remainder of in-flight chunks, chain a resync if possible.
@@ -291,9 +346,11 @@ class FileSystem {
   std::map<std::pair<std::size_t, std::size_t>, std::size_t> substitutes_;
   MirrorStats mirrorStats_;
   HedgeStats hedgeStats_;
-  /// Unresolved hedge tracks keyed by the original leg's flow id (also the
-  /// peer set for the lag median).
-  std::map<std::uint64_t, std::shared_ptr<HedgeTrack>> hedged_;
+  /// The control records; the live hedged ones are the lag median's peers.
+  HandleTable<ChunkControl, ControlId> controls_;
+  std::size_t hedgedLive_ = 0;
+  /// hedgeCheck's peer rates (scratch, reused across checks).
+  std::vector<double> hedgePeers_;
   /// EWMA of completed winning legs' mean rates: the lag reference when the
   /// in-flight peer set is itself sick (e.g. only the chunks behind a
   /// stuttering link remain, so their median cannot expose them).
@@ -302,10 +359,8 @@ class FileSystem {
   std::vector<std::vector<std::shared_ptr<MirrorChunk>>> inflightMirror_;
   /// Active background resync flow per group (id 0 == none).
   std::vector<sim::FlowId> resync_;
-  /// The transfer table: slots are reused through freeTransfers_, and a
-  /// slot is freed only after its transfer's done has run.
-  std::vector<TransferState> transfers_;
-  std::vector<std::uint32_t> freeTransfers_;
+  /// The transfers; a slot is freed only after its transfer's done has run.
+  HandleTable<TransferState, TransferId> transfers_;
   /// Per-application write admission (null = unmanaged; see DESIGN.md §2.8).
   qos::QosManager* qos_ = nullptr;
 };

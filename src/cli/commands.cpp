@@ -265,6 +265,7 @@ class TraceExport final : public harness::RunProbe {
     if (options_.ring) ring_.emplace(fluid, options_.ringCapacity);
     if (!options_.ring || !options_.metrics.empty()) {
       tracer_.emplace(fluid);
+      if (!options_.jsonl.empty() || !options_.chrome.empty()) tracer_->enableEventLog();
       if (!options_.metrics.empty() || !options_.chrome.empty()) {
         tracer_->setMetricsInterval(options_.metricsDt);
       }

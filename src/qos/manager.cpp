@@ -102,21 +102,19 @@ bool QosManager::tryAdmit(std::size_t id, util::Bytes bytes, util::Seconds now) 
   return true;
 }
 
-bool QosManager::admitChunk(std::size_t node, util::Bytes bytes,
-                            std::function<void()> resume) {
-  const std::size_t id = node < nodeApp_.size() ? nodeApp_[node] : kNoApp;
-  if (id == kNoApp) return true;  // node not under QoS management
-  auto& app = apps_[id];
-  const util::Seconds now = fluid_.now();
+bool QosManager::admitNow(std::size_t id, util::Bytes bytes) {
   // FIFO: while older chunks wait, newcomers queue behind them even if the
   // balance would cover them -- no overtaking, and admission order is a pure
   // function of arrival order.
-  if (app.waiters.empty() && tryAdmit(id, bytes, now)) return true;
+  return apps_[id].waiters.empty() && tryAdmit(id, bytes, fluid_.now());
+}
+
+void QosManager::defer(std::size_t id, util::Bytes bytes, std::function<void()> resume) {
+  auto& app = apps_[id];
   ++app.stats.deferrals;
   ++totals_.deferrals;
-  app.waiters.push_back(Waiter{bytes, std::move(resume), now});
+  app.waiters.push_back(Waiter{bytes, std::move(resume), fluid_.now()});
   armWake(id);
-  return false;
 }
 
 void QosManager::armWake(std::size_t id) {

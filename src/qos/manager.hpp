@@ -23,6 +23,7 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "qos/borrow.hpp"
@@ -101,8 +102,17 @@ class QosManager {
   /// Returns false when it was deferred; `resume` then fires from an engine
   /// event once the tokens accrued (the caller must issue the chunk there
   /// WITHOUT asking for admission again -- the tokens are spent on resume).
-  /// Chunks from nodes no app registered pass through unmanaged.
-  bool admitChunk(std::size_t node, util::Bytes bytes, std::function<void()> resume);
+  /// Chunks from nodes no app registered pass through unmanaged.  `resume`
+  /// becomes a std::function only when the chunk queues, so an admission
+  /// that goes through at once allocates nothing.
+  template <typename Resume>
+  bool admitChunk(std::size_t node, util::Bytes bytes, Resume&& resume) {
+    const std::size_t id = node < nodeApp_.size() ? nodeApp_[node] : kNoApp;
+    if (id == kNoApp) return true;  // node not under QoS management
+    if (admitNow(id, bytes)) return true;
+    defer(id, bytes, std::function<void()>(std::forward<Resume>(resume)));
+    return false;
+  }
 
   /// Aggregated run totals (sloViolations is filled by the harness, which
   /// knows the achieved per-app bandwidths; see countSloViolation).
@@ -142,6 +152,11 @@ class QosManager {
     AppStats stats;
   };
 
+  /// The admit-at-once half of admitChunk: true when `app` has no waiters
+  /// and its tokens cover `bytes` (tokens spent).
+  bool admitNow(std::size_t app, util::Bytes bytes);
+  /// The queueing half: count the deferral and append the waiter.
+  void defer(std::size_t app, util::Bytes bytes, std::function<void()> resume);
   /// Refill every bucket to `now`; with borrowing on, pool the overflow
   /// (per-lender contribution capped at its burst).  O(apps) -- fine for
   /// the 10-100-tenant scale the bench sweeps.

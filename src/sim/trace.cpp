@@ -118,6 +118,7 @@ void FlowTracer::onFlowStarted(FlowId id, std::span<const ResourceIndex> path,
   flow.id = id.value;
   flow.rate = 0.0;
   flow.path.assign(path.begin(), path.end());
+  if (!logEvents_) return;
   TraceEvent event;
   event.kind = TraceEvent::Kind::kStart;
   event.time = at;
@@ -143,6 +144,7 @@ void FlowTracer::onRatesSolved(SimTime at, std::span<const FlowId> ids,
       flow->rate = rates[i];
     }
   }
+  if (!logEvents_) return;
   TraceEvent event;
   event.kind = TraceEvent::Kind::kRates;
   event.time = at;
@@ -174,6 +176,7 @@ void FlowTracer::dropFlow(FlowId id, SimTime at) {
 
 void FlowTracer::onFlowCompleted(const FlowStats& stats) {
   dropFlow(stats.id, stats.endTime);
+  if (!logEvents_) return;
   TraceEvent event;
   event.kind = TraceEvent::Kind::kComplete;
   event.time = stats.endTime;
@@ -185,6 +188,7 @@ void FlowTracer::onFlowCompleted(const FlowStats& stats) {
 
 void FlowTracer::onFlowCancelled(const FlowStats& stats) {
   dropFlow(stats.id, stats.endTime);
+  if (!logEvents_) return;
   TraceEvent event;
   event.kind = TraceEvent::Kind::kCancel;
   event.time = stats.endTime;
@@ -225,9 +229,14 @@ util::Seconds FlowTracer::resourceBusyTime(ResourceIndex resource) const {
   return resourceBusy_[resource.value];
 }
 
+const std::vector<TraceEvent>& FlowTracer::events() const {
+  BEESIM_ASSERT(logEvents_, "the flow tracer's event log was not enabled");
+  return events_;
+}
+
 std::string FlowTracer::toJsonl() const {
   std::string out;
-  for (const auto& event : events_) {
+  for (const auto& event : events()) {
     switch (event.kind) {
       case TraceEvent::Kind::kStart:
         out += "{\"ev\":\"start\",\"t\":" + util::fmt(event.time, 6) +
@@ -268,7 +277,7 @@ std::string FlowTracer::toChromeTrace() const {
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
          "\"args\":{\"name\":\"beesim\"}}";
-  for (const auto& event : events_) {
+  for (const auto& event : events()) {
     switch (event.kind) {
       case TraceEvent::Kind::kStart:
         out += ",\n{\"name\":\"flow\",\"cat\":\"flow\",\"ph\":\"b\",\"id\":" +

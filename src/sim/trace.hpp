@@ -3,9 +3,10 @@
 //
 // A FlowTracer observes a FluidSimulator and produces four artefacts:
 //
-//   * an event log (flow start / rate change / completion / cancellation)
-//     exportable as JSONL -- one JSON object per line, loadable into pandas
-//     or jq for post-mortem timeline analysis of a run;
+//   * on request (enableEventLog), an event log (flow start / rate change /
+//     completion / cancellation) exportable as JSONL -- one JSON object per
+//     line, loadable into pandas or jq for post-mortem timeline analysis of
+//     a run;
 //   * per-resource utilization: bytes carried and busy time, integrated
 //     from the piecewise-constant rate vector.  Because every flow crosses
 //     its bottleneck resource, these integrals give exact link/OST/OSS
@@ -15,9 +16,9 @@
 //     multiple of dt the tracer samples the aggregate rate, each tracked
 //     link's rate and a live link-imbalance index -- the time-resolved view
 //     of the paper's (min,max) balance story;
-//   * a Chrome-trace/Perfetto export (toChromeTrace): flows as async b/e
-//     events plus counter tracks, loadable into chrome://tracing or
-//     https://ui.perfetto.dev.
+//   * a Chrome-trace/Perfetto export (toChromeTrace, event log required):
+//     flows as async b/e events plus counter tracks, loadable into
+//     chrome://tracing or https://ui.perfetto.dev.
 //
 // The tracer is exact, not sampled: it banks rate * dt on every re-solve.
 // It attaches through FluidSimulator::addObserver, so it composes with any
@@ -25,12 +26,16 @@
 //
 // The FlowTracer costs O(path) per flow start, end and reported rate change,
 // plus one walk over the resources that carry flows per banked interval; its
-// live flows sit in a table indexed by the flow handle's slot.  Measured on
-// perfbench (seed 1, 4 threads of a Xeon host), one tracer per run
-// (--utilization) takes paper_campaign from 0.036 s to 0.058 s (+60%) and
-// the 4096-node scale_32k campaign from 0.240 s to 0.545 s (+127%); on
-// gray_failure, where the health monitor's tracer is the only observer, its
-// callbacks are 15% of self time (gprof, 1 thread).
+// live flows sit in a table indexed by the flow handle's slot.  The event log
+// (one 56-byte record per start, end and resolve) is kept only when an
+// exporter asks for it: the health monitor, the rebalance controller and
+// the harness' utilization tracer never read it.  Measured on perfbench
+// (seed 1, 4 threads of a Xeon host, 10-s windows), one tracer per run
+// (--utilization) takes paper_campaign from 0.026 s to 0.041 s (+55%) and
+// the 4096-node scale_32k campaign from 0.163 s to 0.330 s (+103%); on
+// gray_failure, where the health monitor's tracer is the only observer,
+// its callbacks are 7% of self time (gprof, seed 1, 1 thread, 3 passes;
+// the mitigated runs alone spent 25% there while the log was kept).
 //
 // RingTraceSink is the cheap alternative (--trace-format=ring): every
 // observer callback appends one fixed-width 40-byte binary record to a
@@ -108,7 +113,12 @@ class FlowTracer final : public FluidObserver {
   void onFlowCompleted(const FlowStats& stats) override;
   void onFlowCancelled(const FlowStats& stats) override;
 
-  const std::vector<TraceEvent>& events() const { return events_; }
+  /// Keep the event log from now on (off by default: only the trace
+  /// exports read it).  events(), toJsonl() and toChromeTrace() require it.
+  void enableEventLog() { logEvents_ = true; }
+  bool eventLogEnabled() const { return logEvents_; }
+
+  const std::vector<TraceEvent>& events() const;
 
   // -- Metrics series ----------------------------------------------------
 
@@ -184,6 +194,7 @@ class FlowTracer final : public FluidObserver {
   LiveFlow* liveFlow(FlowId id);
 
   FluidSimulator& fluid_;
+  bool logEvents_ = false;
   std::vector<TraceEvent> events_;
   /// Indexed by a handle's low 32 bits (its slot) and checked against the
   /// full handle.  The simulator hands a slot to a new flow only after the

@@ -339,6 +339,96 @@ TEST(FailSlowHedge, QosTokensAreChargedOncePerLogicalByte) {
   EXPECT_DOUBLE_EQ(manager.stats().tokensIssued, static_cast<double>(512_MiB));
 }
 
+// -- Chunk control records: stale handles ------------------------------------
+//
+// Hedge timers and watchdogs name their chunk's control record by a
+// generation-stamped handle.  A record is freed when its chunk resolves, and
+// the next controlled chunk takes the same slot; a timer of the first tenant
+// that fires afterwards must act on nobody.
+
+/// Write one 32 MiB chunk to pinned target 4 (healthy host 1) and, from its
+/// completion, one 512 MiB chunk to pinned target 0, which takes over the
+/// first chunk's control record slot.  `firstDone` receives the first
+/// write's completion time, `secondDone` flips when the second one lands.
+void writeThenReuse(beegfs::FileSystem& fs, util::Seconds& firstDone, bool& secondDone) {
+  const auto first = fs.createPinned("/first", {4}, 32_MiB);
+  const auto second = fs.createPinned("/second", {0}, 512_MiB);
+  fs.writeAsync(0, first, 0, 32_MiB, 8.0, [&fs, second, &firstDone,
+                                           &secondDone](util::Seconds at) {
+    firstDone = at;
+    fs.writeAsync(0, second, 0, 512_MiB, 8.0,
+                  [&secondDone](util::Seconds) { secondDone = true; });
+  });
+}
+
+TEST(FailSlowControl, StaleHedgeTimerLeavesTheSlotsNextTenantAlone) {
+  // The first chunk resolves long before its hedge deadline; the second one
+  // is stuck on a dead-but-online target.  The first chunk's timer fires at
+  // `deadline` and must neither check nor hedge the second chunk, whose own
+  // timer first fires at firstDone + deadline.
+  sim::FluidSimulator fluid;
+  const auto cluster = topo::makePlafrim(topo::Scenario::kOmniPath100G, 4);
+  beegfs::BeegfsParams params;
+  params.hedge.enabled = true;
+  params.hedge.deadline = 0.3;
+  beegfs::Deployment deployment(fluid, cluster, params, util::Rng(1));
+  beegfs::FileSystem fs(deployment, util::Rng(2));
+  faults::FaultInjector injector(deployment, faults::parseSchedule("slow:t0@0=0"));
+  injector.arm();
+
+  util::Seconds firstDone = -1.0;
+  bool secondDone = false;
+  writeThenReuse(fs, firstDone, secondDone);
+  fluid.engine().runUntil(params.hedge.deadline);
+  ASSERT_GT(firstDone, 0.01) << "the second chunk must start well before the stale timer";
+  ASSERT_LT(firstDone, params.hedge.deadline);
+  // Past the stale timer, before the second chunk's own first check.
+  fluid.engine().runUntil(params.hedge.deadline + firstDone / 2.0);
+  EXPECT_EQ(fs.hedgeStats().hedgesIssued, 0u);
+  EXPECT_EQ(fs.hedgedInFlight(), 1u);
+  EXPECT_FALSE(secondDone);
+
+  fluid.run();
+  EXPECT_TRUE(secondDone);
+  EXPECT_EQ(fs.hedgeStats().hedgesIssued, 1u);
+  EXPECT_EQ(fs.hedgeStats().hedgeWins, 1u);
+  EXPECT_EQ(fs.hedgedInFlight(), 0u);
+}
+
+TEST(FailSlowControl, FinishedChunkLeavesANoOpWatchdog) {
+  // The first chunk lands before ioTimeout, so its watchdog is a no-op; the
+  // second chunk takes its record slot and then loses its target to a crash.
+  // Only the second chunk's own watchdog, at firstDone + ioTimeout, may
+  // declare the timeout -- the stale one at ioTimeout must not.
+  sim::FluidSimulator fluid;
+  const auto cluster = topo::makePlafrim(topo::Scenario::kOmniPath100G, 4);
+  beegfs::BeegfsParams params;
+  params.faults.mode = beegfs::ClientFaultPolicy::Mode::kDegraded;
+  params.faults.ioTimeout = 0.5;
+  params.faults.maxRetries = 1;
+  beegfs::Deployment deployment(fluid, cluster, params, util::Rng(1));
+  beegfs::FileSystem fs(deployment, util::Rng(2));
+  faults::FaultInjector injector(deployment, faults::parseSchedule("off:t0@0.3"));
+  injector.arm();
+
+  util::Seconds firstDone = -1.0;
+  bool secondDone = false;
+  writeThenReuse(fs, firstDone, secondDone);
+  fluid.engine().runUntil(params.faults.ioTimeout);
+  ASSERT_GT(firstDone, 0.01);
+  ASSERT_LT(firstDone, 0.3) << "the second chunk must start before its target fails";
+  fluid.engine().runUntil(params.faults.ioTimeout + firstDone / 2.0);
+  EXPECT_EQ(fs.faultStats().timeouts, 0u);
+  EXPECT_FALSE(secondDone);
+
+  fluid.run();
+  EXPECT_TRUE(secondDone);
+  EXPECT_EQ(fs.faultStats().timeouts, 1u);
+  EXPECT_EQ(fs.faultStats().failovers, 1u);
+  EXPECT_FALSE(fs.faultsAborted());
+  EXPECT_EQ(fs.hedgedInFlight(), 0u);
+}
+
 // -- HealthMonitor ------------------------------------------------------------
 
 harness::RunConfig monitorConfig(util::Bytes total = 2_GiB) {

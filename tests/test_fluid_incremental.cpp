@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -18,6 +19,7 @@
 #include "beegfs/deployment.hpp"
 #include "beegfs/filesystem.hpp"
 #include "ior/runner.hpp"
+#include "qos/manager.hpp"
 #include "sim/fluid.hpp"
 #include "sim/maxmin.hpp"
 #include "sim/trace.hpp"
@@ -676,31 +678,52 @@ struct FlowStartCounter final : FluidObserver {
   void onFlowCompleted(const FlowStats&) override {}
 };
 
-/// Heap allocations and write transfers of a warmed-up window of a plain
-/// IOR write (no faults, hedging, mirroring or QoS) whose transfers each
-/// cover `chunksPerTransfer` stripe chunks, so start one chunk flow each.
+/// Heap allocations and write transfers of a warmed-up window of an IOR
+/// write whose transfers each cover `chunksPerTransfer` stripe chunks, so
+/// start one chunk flow each.
 struct IorWindow {
   std::uint64_t allocations = 0;
   std::uint64_t chunkFlows = 0;
   std::uint64_t transfers = 0;
 };
 
-IorWindow measurePlainIorWrite(std::size_t chunksPerTransfer) {
+/// The plain path (no faults, hedging, mirroring or QoS), or with
+/// `controlled` the chunk-control path: hedging on, a QoS manager at a
+/// rate that never binds, and fault mode kDegraded, so every chunk gets a
+/// control record, a watchdog and a hedge timer and passes QoS admission.
+IorWindow measureIorWrite(std::size_t chunksPerTransfer, bool controlled) {
   FluidSimulator fluid;
   fluid.setSolverCheck(false);  // the differential check allocates by design
   util::Rng rng(7);
   beegfs::BeegfsParams params;
   params.defaultStripe.stripeCount = 4;
+  if (controlled) {
+    // Short timers, so the pending watchdogs and hedge checks reach their
+    // steady-state count (and the event pool its working size) in warm-up.
+    params.faults.mode = beegfs::ClientFaultPolicy::Mode::kDegraded;
+    params.faults.ioTimeout = 0.05;
+    params.hedge.enabled = true;
+    params.hedge.deadline = 0.02;
+  }
   beegfs::Deployment deployment(fluid, topo::makePlafrim(topo::Scenario::kEthernet10G, 4),
                                 params, rng.split());
   beegfs::FileSystem fs(deployment, rng.split());
+  std::optional<qos::QosManager> qos;
+  if (controlled) {
+    qos::QosPolicy policy;
+    policy.enabled = true;
+    policy.rate = 1e6;  // MiB/s: far above what 4 nodes can write
+    qos.emplace(fluid, policy);
+    qos->registerApp(qos::makeAppSpec(policy), {0, 1, 2, 3});
+    fs.setQosManager(&*qos);
+  }
   FlowStartCounter counter;
   fluid.addObserver(&counter);
 
   ior::IorOptions options;
   options.transferSize = params.defaultStripe.chunkSize;
   options.blockSize = params.defaultStripe.chunkSize * chunksPerTransfer;
-  options.segments = 200;
+  options.segments = controlled ? 400 : 200;
   bool finished = false;
   ior::launchIor(fs, ior::IorJob::onFirstNodes(4, 4), options, 0.0,
                  [&finished](const ior::IorResult&) { finished = true; });
@@ -711,7 +734,7 @@ IorWindow measurePlainIorWrite(std::size_t chunksPerTransfer) {
     while (counter.started < flows && fluid.engine().step()) {
     }
   };
-  stepUntil(800);
+  stepUntil(controlled ? 3200 : 800);
   IorWindow window;
   const auto before = counter.started;
   {
@@ -724,6 +747,16 @@ IorWindow measurePlainIorWrite(std::size_t chunksPerTransfer) {
   EXPECT_EQ(window.chunkFlows % chunksPerTransfer, 0u);
   fluid.run();
   EXPECT_TRUE(finished);
+  if (controlled) {
+    // The control machinery ran and stood down: every chunk passed
+    // admission, none lagged, and no record outlived its chunk.
+    EXPECT_DOUBLE_EQ(qos->stats().tokensIssued,
+                     static_cast<double>(options.blockSize * options.segments * 16));
+    EXPECT_EQ(qos->stats().deferrals, 0u);
+    EXPECT_EQ(fs.hedgeStats().hedgesIssued, 0u);
+    EXPECT_EQ(fs.faultStats().timeouts, 0u);
+    EXPECT_EQ(fs.hedgedInFlight(), 0u);
+  }
   return window;
 }
 
@@ -733,11 +766,29 @@ TEST(FluidIncremental, PlainIorChunkFlowsAreAllocationFree) {
   // heap allocation.  What is left is per transfer (the stripe split and the
   // IOR runner's continuation), so transfers of 1 and of 4 chunks must cost
   // the same per transfer.
-  const auto one = measurePlainIorWrite(1);
-  const auto four = measurePlainIorWrite(4);
+  const auto one = measureIorWrite(1, /*controlled=*/false);
+  const auto four = measureIorWrite(4, /*controlled=*/false);
   ASSERT_GT(one.transfers, 100u);
   ASSERT_GT(four.transfers, 100u);
   // Per transfer: at most the bytesPerTarget vector and the continuation.
+  const auto perTransfer = one.allocations / one.transfers;
+  EXPECT_EQ(one.allocations, perTransfer * one.transfers)
+      << one.allocations << " allocations for " << one.transfers << " transfers";
+  EXPECT_LE(perTransfer, 2u);
+  EXPECT_EQ(four.allocations, perTransfer * four.transfers)
+      << four.allocations << " allocations for " << four.chunkFlows << " chunk flows in "
+      << four.transfers << " transfers, " << perTransfer << " per transfer";
+}
+
+TEST(FluidIncremental, ControlledIorChunkFlowsAreAllocationFree) {
+  // The same bar with every chunk under control: its record, QoS admission,
+  // watchdog and hedge timer cost nothing once the record table and the
+  // event pool are warm, so a controlled transfer costs what a plain one
+  // does, whatever its chunk count.
+  const auto one = measureIorWrite(1, /*controlled=*/true);
+  const auto four = measureIorWrite(4, /*controlled=*/true);
+  ASSERT_GT(one.transfers, 100u);
+  ASSERT_GT(four.transfers, 100u);
   const auto perTransfer = one.allocations / one.transfers;
   EXPECT_EQ(one.allocations, perTransfer * one.transfers)
       << one.allocations << " allocations for " << one.transfers << " transfers";

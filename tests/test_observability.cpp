@@ -137,6 +137,7 @@ TEST(Tracer, DoesNotClobberEarlierObserver) {
   CountingObserver first;
   fluid.addObserver(&first);
   FlowTracer tracer(fluid);
+  tracer.enableEventLog();
   runOneFlow(fluid, link);
 
   EXPECT_EQ(first.started, 1);
@@ -229,6 +230,7 @@ TEST(Tracer, MetricsCsvHasHeaderAndOneRowPerSample) {
 TEST(Tracer, ChromeTraceRoundTripsThroughJsonParser) {
   FluidSimulator fluid;
   FlowTracer tracer(fluid);
+  tracer.enableEventLog();
   const auto link = fluid.addResource(ResourceSpec{"srv \"0\"", constantCapacity(10.0)});
   tracer.setMetricsInterval(0.5);
   tracer.trackLink(link, "srv \"0\"");  // name needing JSON escaping
@@ -267,6 +269,7 @@ TEST(Tracer, ChromeTraceRoundTripsThroughJsonParser) {
 TEST(Tracer, WriteChromeTraceAndMetricsToFiles) {
   FluidSimulator fluid;
   FlowTracer tracer(fluid);
+  tracer.enableEventLog();
   const auto link = fluid.addResource(ResourceSpec{"link", constantCapacity(10.0)});
   tracer.setMetricsInterval(0.5);
   tracer.trackLink(link, "link");
@@ -341,6 +344,7 @@ class TracingProbe final : public RunProbe {
  public:
   void attach(sim::FluidSimulator& fluid, const beegfs::Deployment&) override {
     tracer_.emplace(fluid);
+    tracer_->enableEventLog();
   }
   void finish(const RunRecord& record) override {
     for (const auto& event : tracer_->events()) {

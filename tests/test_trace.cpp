@@ -25,6 +25,7 @@ using namespace beesim::util::literals;
 TEST(Trace, RecordsStartRatesComplete) {
   FluidSimulator fluid;
   FlowTracer tracer(fluid);
+  tracer.enableEventLog();
   const auto link = fluid.addResource(ResourceSpec{"link", constantCapacity(100.0)});
   fluid.startFlow(FlowSpec{.path = {link}, .bytes = 100_MiB, .queueWeight = 1.0,
                            .rateCap = 0.0, .onComplete = nullptr});
@@ -61,6 +62,7 @@ TEST(Trace, ResourceUsageBanksExactBytes) {
 TEST(Trace, JsonlLinesAreValidJson) {
   FluidSimulator fluid;
   FlowTracer tracer(fluid);
+  tracer.enableEventLog();
   const auto link = fluid.addResource(ResourceSpec{"link", constantCapacity(10.0)});
   fluid.startFlow(FlowSpec{.path = {link}, .bytes = 10_MiB, .queueWeight = 1.0,
                            .rateCap = 0.0, .onComplete = nullptr});
@@ -112,6 +114,7 @@ TEST(Trace, EndToEndOstTrafficDecomposition) {
 TEST(Trace, RecordsCancelledFlows) {
   FluidSimulator fluid;
   FlowTracer tracer(fluid);
+  tracer.enableEventLog();
   const auto link = fluid.addResource(ResourceSpec{"link", constantCapacity(100.0)});
   const auto id = fluid.startFlow(FlowSpec{.path = {link}, .bytes = 100_MiB,
                                            .queueWeight = 1.0, .rateCap = 0.0,
@@ -132,6 +135,7 @@ TEST(Trace, RecordsCancelledFlows) {
 TEST(Trace, WriteJsonlToFile) {
   FluidSimulator fluid;
   FlowTracer tracer(fluid);
+  tracer.enableEventLog();
   const auto link = fluid.addResource(ResourceSpec{"link", constantCapacity(10.0)});
   fluid.startFlow(FlowSpec{.path = {link}, .bytes = 1_MiB, .queueWeight = 1.0,
                            .rateCap = 0.0, .onComplete = nullptr});
@@ -354,17 +358,22 @@ TEST(Trace, MatchesMapReferenceUnderChurn) {
     }}));
 
     FlowTracer tracer(fluid);
+    tracer.enableEventLog();
     MapReferenceTracer reference(fluid);
+    FlowTracer unlogged(fluid);  // same accounting, no event log
     tracer.setMetricsInterval(0.25);
     reference.setMetricsInterval(0.25);
+    unlogged.setMetricsInterval(0.25);
     for (int l = 0; l < 3; ++l) {
       tracer.trackLink(res[l], "link" + std::to_string(l));
       reference.trackLink(res[l]);
+      unlogged.trackLink(res[l], "link" + std::to_string(l));
     }
     std::unique_ptr<FlowTracer> late;
     std::unique_ptr<MapReferenceTracer> lateReference;
     fluid.engine().schedule(2.5, [&] {
       late = std::make_unique<FlowTracer>(fluid);
+      late->enableEventLog();
       lateReference = std::make_unique<MapReferenceTracer>(fluid);
       late->setMetricsInterval(0.4);
       lateReference->setMetricsInterval(0.4);
@@ -431,6 +440,29 @@ TEST(Trace, MatchesMapReferenceUnderChurn) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     expectSameAccounting(tracer, reference);
     expectSameAccounting(*late, *lateReference);
+    // The event log is bookkeeping on the side: leaving it off moves no bit
+    // of the samples or the per-resource usage.
+    EXPECT_FALSE(unlogged.eventLogEnabled());
+    EXPECT_THROW((void)unlogged.events(), util::ContractError);
+    ASSERT_EQ(unlogged.samples().size(), tracer.samples().size());
+    for (std::size_t i = 0; i < tracer.samples().size(); ++i) {
+      const auto& a = unlogged.samples()[i];
+      const auto& b = tracer.samples()[i];
+      EXPECT_EQ(bits(a.aggregateRate), bits(b.aggregateRate)) << "sample " << i;
+      ASSERT_EQ(a.linkRates.size(), b.linkRates.size());
+      for (std::size_t l = 0; l < a.linkRates.size(); ++l) {
+        EXPECT_EQ(bits(a.linkRates[l]), bits(b.linkRates[l])) << "sample " << i;
+      }
+      EXPECT_EQ(a.linkFlows, b.linkFlows) << "sample " << i;
+    }
+    const auto unloggedUsage = unlogged.resourceUsage();
+    const auto loggedUsage = tracer.resourceUsage();
+    ASSERT_EQ(unloggedUsage.size(), loggedUsage.size());
+    for (std::size_t r = 0; r < loggedUsage.size(); ++r) {
+      EXPECT_EQ(bits(unloggedUsage[r].mib), bits(loggedUsage[r].mib)) << loggedUsage[r].name;
+      EXPECT_EQ(bits(unloggedUsage[r].busyTime), bits(loggedUsage[r].busyTime));
+      EXPECT_EQ(bits(unloggedUsage[r].peakRate), bits(loggedUsage[r].peakRate));
+    }
   }
 }
 
