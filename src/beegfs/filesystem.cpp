@@ -195,8 +195,7 @@ util::Bytes FileSystem::slotBytes(FileHandle handle, std::size_t slot) const {
   BEESIM_ASSERT(handle.value < files_.size(), "unknown file handle");
   const auto& file = files_[handle.value];
   BEESIM_ASSERT(slot < file.pattern.targets().size(), "stripe slot out of range");
-  if (file.size == 0) return 0;
-  return file.pattern.bytesPerTarget(0, file.size)[slot];
+  return file.pattern.bytesOnSlot(0, file.size, slot);
 }
 
 sim::FlowId FileSystem::migrateSlot(FileHandle handle, std::size_t slot,
@@ -251,17 +250,13 @@ void FileSystem::transferAsync(std::size_t node, FileHandle handle, util::Bytes 
     return;
   }
 
-  const auto perTarget = file.pattern.bytesPerTarget(offset, length);
   if (isWrite) {
     file.size = std::max(file.size, offset + length);
   }
 
   // One chunk (fluid flow) per touched target; the operation completes when
   // every chunk resolved (possibly after retries/failovers).
-  std::size_t flowsToStart = 0;
-  for (const auto bytes : perTarget) {
-    if (bytes > 0) ++flowsToStart;
-  }
+  const std::size_t flowsToStart = file.pattern.slotsTouched(offset, length);
   BEESIM_ASSERT(flowsToStart > 0, "transfer touched no target");
 
   const auto transfer = transfers_.allocate();
@@ -272,9 +267,16 @@ void FileSystem::transferAsync(std::size_t node, FileHandle handle, util::Bytes 
   state.queueWeight = queueWeight;
   state.pendingChunks = flowsToStart;
   state.done = std::move(done);
-  for (std::size_t slot = 0; slot < perTarget.size(); ++slot) {
-    if (perTarget[slot] == 0) continue;
-    issueChunk(transfer, slot, perTarget[slot], /*failedAt=*/-1.0);
+  // The split is taken slot by slot, not kept in a buffer: the last chunk
+  // can resolve inside issueChunk and its done start the next transfer,
+  // which would overwrite a shared buffer and may grow files_.  So the loop
+  // re-reads files_ and ends with the last issue.
+  std::size_t issued = 0;
+  for (std::size_t slot = 0; issued < flowsToStart; ++slot) {
+    const util::Bytes bytes = files_[handle.value].pattern.bytesOnSlot(offset, length, slot);
+    if (bytes == 0) continue;
+    ++issued;
+    issueChunk(transfer, slot, bytes, /*failedAt=*/-1.0);
   }
 }
 
@@ -403,9 +405,44 @@ void FileSystem::primaryLegDone(ControlId control, const sim::FlowStats& stats) 
   finishChunk(transfer);
 }
 
+void FileSystem::TimerLane::push(const Entry& entry) {
+  if (size == ring.size()) {
+    // Unroll into a buffer twice the size; the ring keeps it from then on.
+    std::vector<Entry> grown(std::max<std::size_t>(16, 2 * ring.size()));
+    for (std::size_t i = 0; i < size; ++i) grown[i] = at(i);
+    ring.swap(grown);
+    head = 0;
+  }
+  ++size;
+  at(size - 1) = entry;
+}
+
+void FileSystem::armTimer(TimerLane& lane, util::Seconds delay, ControlId control) {
+  const sim::Ticket ticket = deployment_.fluid().engine().reserveAfter(delay);
+  BEESIM_ASSERT(lane.size == 0 || lane.at(lane.size - 1).ticket < ticket,
+                "a timer lane's tickets must leave in dispatch order");
+  lane.push({ticket, control});
+  if (!lane.scheduled) scheduleLane(lane);
+}
+
+void FileSystem::scheduleLane(TimerLane& lane) {
+  while (lane.size > 0 && controls_.find(lane.at(0).control) == nullptr) lane.pop();
+  lane.scheduled = lane.size > 0;
+  if (lane.scheduled) {
+    deployment_.fluid().engine().schedule(lane.at(0).ticket, [this, &lane] { laneFired(lane); });
+  }
+}
+
+void FileSystem::laneFired(TimerLane& lane) {
+  const ControlId control = lane.at(0).control;
+  lane.pop();
+  // `scheduled` stays set, so a re-arm from the action only queues.
+  (this->*lane.fired)(control);
+  scheduleLane(lane);
+}
+
 void FileSystem::armWatchdog(ControlId control) {
-  deployment_.fluid().engine().scheduleAfter(deployment_.params().faults.ioTimeout,
-                                             [this, control] { watchdogFired(control); });
+  armTimer(watchdogs_, deployment_.params().faults.ioTimeout, control);
 }
 
 void FileSystem::watchdogFired(ControlId control) {
@@ -546,8 +583,7 @@ void FileSystem::freeControl(ControlId id) {
 // -- Hedged writes. ----------------------------------------------------------
 
 void FileSystem::armHedge(ControlId control) {
-  deployment_.fluid().engine().scheduleAfter(deployment_.params().hedge.deadline,
-                                             [this, control] { hedgeCheck(control); });
+  armTimer(hedgeChecks_, deployment_.params().hedge.deadline, control);
 }
 
 void FileSystem::hedgeCheck(ControlId control) {

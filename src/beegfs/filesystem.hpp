@@ -268,9 +268,10 @@ class FileSystem {
     std::vector<std::size_t> tried;  ///< targets given a leg; keeps its capacity
   };
 
-  /// Handle of a control record; leg completions and timers capture it.  A
+  /// Handle of a control record; leg completions and timers hold it.  A
   /// record is freed when its chunk resolves or is dropped, so a timer
-  /// still pending then holds a stale handle and does nothing.
+  /// still pending then holds a stale handle: its lane drops it, or it
+  /// fires and does nothing.
   struct ControlId {
     std::uint64_t value = 0;
   };
@@ -281,6 +282,43 @@ class FileSystem {
   ControlId allocateControl(TransferId transfer, std::size_t stripeSlot, util::Bytes bytes,
                             std::size_t target, util::Seconds failedAt);
   void freeControl(ControlId id);
+
+  /// Pending timers of one fixed delay (faults.ioTimeout or
+  /// hedge.deadline) in arming order, in a ring buffer that keeps its
+  /// capacity.  Each arm reserves its dispatch key at once
+  /// (Simulator::reserveAfter); one delay and a clock that never runs
+  /// backwards put the keys in dispatch order, so the lane keeps a single
+  /// engine event, for its front entry.  When it fires the lane runs that
+  /// entry, drops the following entries whose record is freed (a freed
+  /// handle never names a live record again, so their timers would do
+  /// nothing), and schedules the next one under its own ticket: every timer
+  /// that still acts fires at the key a per-chunk event would have had.
+  struct TimerLane {
+    struct Entry {
+      sim::Ticket ticket;
+      ControlId control;
+    };
+    explicit TimerLane(void (FileSystem::*fired)(ControlId)) : fired(fired) {}
+
+    void (FileSystem::*fired)(ControlId);  ///< the timer's action
+    std::vector<Entry> ring;               ///< capacity 0 or a power of two
+    std::size_t head = 0;
+    std::size_t size = 0;
+    bool scheduled = false;  ///< an engine event for the front entry is pending or running
+
+    Entry& at(std::size_t i) { return ring[(head + i) & (ring.size() - 1)]; }
+    void push(const Entry& entry);
+    void pop() {
+      head = (head + 1) & (ring.size() - 1);
+      --size;
+    }
+  };
+
+  /// Arm `control`'s timer on `lane`, due `delay` from now.
+  void armTimer(TimerLane& lane, util::Seconds delay, ControlId control);
+  /// Drop the lane's stale front entries and schedule the first live one.
+  void scheduleLane(TimerLane& lane);
+  void laneFired(TimerLane& lane);
 
   /// A watched or hedged chunk's original leg landed.
   void primaryLegDone(ControlId control, const sim::FlowStats& stats);
@@ -349,6 +387,8 @@ class FileSystem {
   /// The control records; the live hedged ones are the lag median's peers.
   HandleTable<ChunkControl, ControlId> controls_;
   std::size_t hedgedLive_ = 0;
+  TimerLane watchdogs_{&FileSystem::watchdogFired};
+  TimerLane hedgeChecks_{&FileSystem::hedgeCheck};
   /// hedgeCheck's peer rates (scratch, reused across checks).
   std::vector<double> hedgePeers_;
   /// EWMA of completed winning legs' mean rates: the lag reference when the

@@ -42,38 +42,45 @@ std::uint64_t countCongruent(std::uint64_t first, std::uint64_t last, std::uint6
 
 std::vector<util::Bytes> StripePattern::bytesPerTarget(util::Bytes offset,
                                                        util::Bytes length) const {
+  std::vector<util::Bytes> perTarget(targets_.size());
+  for (std::size_t slot = 0; slot < perTarget.size(); ++slot) {
+    perTarget[slot] = bytesOnSlot(offset, length, slot);
+  }
+  return perTarget;
+}
+
+util::Bytes StripePattern::bytesOnSlot(util::Bytes offset, util::Bytes length,
+                                       std::size_t slot) const {
   const std::size_t k = targets_.size();
-  std::vector<util::Bytes> perTarget(k, 0);
-  if (length == 0) return perTarget;
+  BEESIM_ASSERT(slot < k, "stripe slot out of range");
+  if (length == 0) return 0;
 
   const util::Bytes end = offset + length;
   const std::uint64_t firstChunk = offset / chunkSize_;
   const std::uint64_t lastChunk = (end - 1) / chunkSize_;
 
-  if (firstChunk == lastChunk) {
-    perTarget[firstChunk % k] = length;
-    return perTarget;
-  }
+  if (firstChunk == lastChunk) return firstChunk % k == slot ? length : 0;
 
+  util::Bytes bytes = 0;
   // Partial head chunk.
-  const util::Bytes headBytes = (firstChunk + 1) * chunkSize_ - offset;
-  perTarget[firstChunk % k] += headBytes;
+  if (firstChunk % k == slot) bytes += (firstChunk + 1) * chunkSize_ - offset;
   // Partial (or full) tail chunk.
-  const util::Bytes tailBytes = end - lastChunk * chunkSize_;
-  perTarget[lastChunk % k] += tailBytes;
-
-  // Full chunks strictly between head and tail, distributed by residue.
+  if (lastChunk % k == slot) bytes += end - lastChunk * chunkSize_;
+  // Full chunks strictly between head and tail.  Residues cycle over chunk
+  // numbers; the slot holds chunks == slot (mod k) only when the pattern
+  // starts at chunk 0 -- which it does: BeeGFS maps chunk number c to
+  // pattern slot c % k.
   if (lastChunk > firstChunk + 1) {
-    const std::uint64_t a = firstChunk + 1;
-    const std::uint64_t b = lastChunk - 1;
-    for (std::size_t i = 0; i < k; ++i) {
-      // Residues cycle over chunk numbers; slot i holds chunks == i (mod k)
-      // only when the pattern starts at chunk 0 -- which it does: BeeGFS maps
-      // chunk number c to pattern slot c % k.
-      perTarget[i] += countCongruent(a, b, k, i) * chunkSize_;
-    }
+    bytes += countCongruent(firstChunk + 1, lastChunk - 1, k, slot) * chunkSize_;
   }
-  return perTarget;
+  return bytes;
+}
+
+std::size_t StripePattern::slotsTouched(util::Bytes offset, util::Bytes length) const {
+  if (length == 0) return 0;
+  // Every chunk the range enters holds at least one of its bytes.
+  const std::uint64_t chunks = (offset + length - 1) / chunkSize_ - offset / chunkSize_ + 1;
+  return static_cast<std::size_t>(std::min<std::uint64_t>(chunks, targets_.size()));
 }
 
 std::string StripePattern::describe() const {

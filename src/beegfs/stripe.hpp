@@ -34,6 +34,12 @@ class StripePattern {
   /// (result[i] belongs to targets()[i]).  Sum equals length.
   std::vector<util::Bytes> bytesPerTarget(util::Bytes offset, util::Bytes length) const;
 
+  /// bytesPerTarget(offset, length)[slot], without building the vector.
+  util::Bytes bytesOnSlot(util::Bytes offset, util::Bytes length, std::size_t slot) const;
+
+  /// Number of slots [offset, offset+length) puts bytes on.
+  std::size_t slotsTouched(util::Bytes offset, util::Bytes length) const;
+
   std::string describe() const;
 
  private:

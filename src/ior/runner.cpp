@@ -53,6 +53,11 @@ struct RunState {
   beegfs::MirrorStats mirrorBaseline;
   /// Hedge-counter snapshot at launch.
   beegfs::HedgeStats hedgeBaseline;
+  /// Owns the run while its ranks' transfers are in flight; released when
+  /// the last rank finishes.  A segment's continuation holds a plain
+  /// pointer instead, which with the rank and segment makes 16 trivially
+  /// copyable bytes that std::function stores without allocating.
+  std::shared_ptr<RunState> self;
 };
 
 /// Counter delta `now` - `base` (aborted is the file system's current state:
@@ -96,13 +101,14 @@ beegfs::MirrorStats mirrorDelta(const beegfs::MirrorStats& now,
 
 /// Issue segment `segment` of `rank`, chaining to the next segment on
 /// completion (IOR writes a rank's segments sequentially).
-void issueSegment(const std::shared_ptr<RunState>& state, int rank, int segment) {
+void issueSegment(RunState* state, int rank, int segment) {
   const auto& options = state->options;
   // A fault-policy abort stops ranks at their next segment boundary.
   if (segment >= options.segments || state->fs->faultsAborted()) {
     // Rank done.
     state->result.rankEnd[rank] = state->fs->deployment().fluid().now();
     if (--state->ranksRemaining == 0) {
+      const auto keepAlive = std::move(state->self);  // until this block ends
       auto& result = state->result;
       result.end = state->fs->deployment().fluid().now();
       result.faults = faultDelta(state->fs->faultStats(), state->faultBaseline);
@@ -245,7 +251,8 @@ void launchIor(beegfs::FileSystem& fs, const IorJob& job, const IorOptions& opti
       }
 
       deployment.fluid().engine().schedule(ioStart, [state] {
-        for (int r = 0; r < state->job.ranks(); ++r) issueSegment(state, r, 0);
+        state->self = state;
+        for (int r = 0; r < state->job.ranks(); ++r) issueSegment(state.get(), r, 0);
       });
     };
 

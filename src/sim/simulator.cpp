@@ -11,8 +11,10 @@ namespace {
 constexpr std::uint64_t kSlotMask = 0xffffffffull;
 }  // namespace
 
-EventId Simulator::schedule(SimTime at, EventFn fn) {
-  BEESIM_ASSERT(at >= now_, "cannot schedule an event in the past");
+// Forced inline into each entry point: as a call of its own it slowed the
+// dispatch-bound perfbench workload md_queued by ~4% (0 of 8 pairs won).
+[[gnu::always_inline]] inline EventId Simulator::push(SimTime at, std::uint64_t sequence,
+                                                     EventFn&& fn) {
   BEESIM_ASSERT(fn != nullptr, "event callback must not be null");
 
   std::uint32_t slot;
@@ -30,14 +32,31 @@ EventId Simulator::schedule(SimTime at, EventFn fn) {
   s.pending = true;
   s.cancelled = false;
 
-  heap_.push_back(QueuedEvent{at, nextSequence_++, slot});
+  heap_.push_back(QueuedEvent{at, sequence, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   return EventId{slot | (static_cast<std::uint64_t>(s.generation) << 32)};
 }
 
+EventId Simulator::schedule(SimTime at, EventFn fn) {
+  BEESIM_ASSERT(at >= now_, "cannot schedule an event in the past");
+  return push(at, nextSequence_++, std::move(fn));
+}
+
 EventId Simulator::scheduleAfter(SimTime delay, EventFn fn) {
   BEESIM_ASSERT(delay >= 0.0, "event delay must be non-negative");
-  return schedule(now_ + delay, std::move(fn));
+  return push(now_ + delay, nextSequence_++, std::move(fn));
+}
+
+Ticket Simulator::reserveAfter(SimTime delay) {
+  BEESIM_ASSERT(delay >= 0.0, "event delay must be non-negative");
+  return Ticket{now_ + delay, nextSequence_++};
+}
+
+EventId Simulator::schedule(Ticket ticket, EventFn fn) {
+  BEESIM_ASSERT(ticket.at >= now_, "cannot schedule an event in the past");
+  BEESIM_ASSERT(ticket.sequence != 0 && ticket.sequence < nextSequence_,
+                "ticket was not reserved by this simulator");
+  return push(ticket.at, ticket.sequence, std::move(fn));
 }
 
 void Simulator::cancel(EventId id) {

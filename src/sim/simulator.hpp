@@ -14,6 +14,14 @@
 // The queue is one binary min-heap of those triples.  Every event carries a
 // globally unique sequence number, so the (time, sequence) order is total and
 // dispatch order does not depend on the heap's internal layout.
+//
+// Tickets split scheduling in two: reserveAfter(delay) takes the dispatch key
+// (now + delay, next sequence) at once, and schedule(ticket, fn) later
+// inserts an event under exactly that key.  An event scheduled from a ticket
+// therefore fires where a scheduleAfter at reservation time would have fired,
+// ties included, while the caller decides only later whether it is needed at
+// all.  A ticket names one event: use it at most once.  Dropping a ticket
+// unused is free and leaves the order of every other event unchanged.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +44,16 @@ struct EventId {
 
 using EventFn = std::function<void()>;
 
+/// A reserved dispatch key (see reserveAfter); use it at most once.
+struct Ticket {
+  SimTime at = 0.0;
+  std::uint64_t sequence = 0;
+  /// Dispatch order: earlier time first, then earlier reservation.
+  friend bool operator<(const Ticket& a, const Ticket& b) {
+    return a.at != b.at ? a.at < b.at : a.sequence < b.sequence;
+  }
+};
+
 class Simulator {
  public:
   Simulator() = default;
@@ -50,6 +68,13 @@ class Simulator {
 
   /// Schedule `fn` after `delay` seconds (>= 0).
   EventId scheduleAfter(SimTime delay, EventFn fn);
+
+  /// Reserve the key a scheduleAfter(delay, ...) made now would get: time
+  /// now() + delay (delay >= 0) and the next sequence number.
+  Ticket reserveAfter(SimTime delay);
+
+  /// Schedule `fn` under a reserved key (ticket.at >= now()).
+  EventId schedule(Ticket ticket, EventFn fn);
 
   /// Cancel a pending event.  Cancelling an already-fired or unknown event is
   /// a harmless no-op (the generation stamp rejects stale handles), so long
@@ -97,6 +122,7 @@ class Simulator {
     bool cancelled = false;
   };
 
+  EventId push(SimTime at, std::uint64_t sequence, EventFn&& fn);
   void retireSlot(std::uint32_t slot);
   /// Pop the globally next event (smallest (at, sequence)); requires a
   /// non-empty heap.

@@ -429,6 +429,65 @@ TEST(FailSlowControl, FinishedChunkLeavesANoOpWatchdog) {
   EXPECT_EQ(fs.hedgedInFlight(), 0u);
 }
 
+TEST(FailSlowControl, FaultOnTheWatchdogDeadlineTimesOutAtOnce) {
+  // The crash and the watchdog share the instant 0.5 s; the injector was
+  // armed first, so its event precedes the watchdog's, which must then find
+  // the target offline and declare the timeout at 0.5 s, not a full
+  // ioTimeout later.
+  sim::FluidSimulator fluid;
+  const auto cluster = topo::makePlafrim(topo::Scenario::kOmniPath100G, 4);
+  beegfs::BeegfsParams params;
+  params.faults.mode = beegfs::ClientFaultPolicy::Mode::kDegraded;
+  params.faults.ioTimeout = 0.5;
+  beegfs::Deployment deployment(fluid, cluster, params, util::Rng(1));
+  beegfs::FileSystem fs(deployment, util::Rng(2));
+  faults::FaultInjector injector(deployment, faults::parseSchedule("off:t0@0.5"));
+  injector.arm();
+
+  const auto file = fs.createPinned("/tie", {0}, 512_MiB);
+  bool done = false;
+  fs.writeAsync(0, file, 0, 512_MiB, 8.0, [&done](util::Seconds) { done = true; });
+  fluid.engine().runUntil(0.5);
+  ASSERT_FALSE(done) << "the chunk must still be in flight at the deadline";
+  EXPECT_EQ(fs.faultStats().timeouts, 1u);
+
+  fluid.run();
+  EXPECT_TRUE(done);
+  EXPECT_EQ(fs.faultStats().timeouts, 1u);
+  EXPECT_FALSE(fs.faultsAborted());
+}
+
+TEST(FailSlowControl, FaultQueuedAfterTheWatchdogsWaitsAFullTimeout) {
+  // The mirror image: both chunks' watchdogs were armed before the crash at
+  // the same instant, so both fire first and see their targets online.  The
+  // second watchdog waits in its lane behind the first and must keep its
+  // place in that tie; the crash is declared one ioTimeout later.
+  sim::FluidSimulator fluid;
+  const auto cluster = topo::makePlafrim(topo::Scenario::kOmniPath100G, 4);
+  beegfs::BeegfsParams params;
+  params.faults.mode = beegfs::ClientFaultPolicy::Mode::kDegraded;
+  params.faults.ioTimeout = 0.5;
+  beegfs::Deployment deployment(fluid, cluster, params, util::Rng(1));
+  beegfs::FileSystem fs(deployment, util::Rng(2));
+
+  const auto healthy = fs.createPinned("/healthy", {4}, 2_GiB);
+  const auto doomed = fs.createPinned("/doomed", {0}, 2_GiB);
+  int done = 0;
+  fs.writeAsync(0, healthy, 0, 2_GiB, 8.0, [&done](util::Seconds) { ++done; });
+  fs.writeAsync(1, doomed, 0, 2_GiB, 8.0, [&done](util::Seconds) { ++done; });
+  faults::FaultInjector injector(deployment, faults::parseSchedule("off:t0@0.5"));
+  injector.arm();
+  fluid.engine().runUntil(0.5);
+  EXPECT_EQ(fs.faultStats().timeouts, 0u);
+  fluid.engine().runUntil(1.0);
+  ASSERT_EQ(done, 0) << "both chunks must still be in flight at the second deadline";
+  EXPECT_EQ(fs.faultStats().timeouts, 1u);
+
+  fluid.run();
+  EXPECT_EQ(done, 2);
+  EXPECT_EQ(fs.faultStats().timeouts, 1u);
+}
+
 // -- HealthMonitor ------------------------------------------------------------
 
 harness::RunConfig monitorConfig(util::Bytes total = 2_GiB) {
@@ -656,14 +715,17 @@ TEST(FailSlowCli, SlowGrammarAndFailSlowFlagAreAccepted) {
 
 TEST(FailSlowChaos, RandomizedFailSlowNeverStallsOrDoubleSpends) {
   // Randomized fail-slow campaigns with the full mitigation stack.  Each
-  // seed's plan may drive targets to fraction 0 (dead-but-online); the run
-  // must still terminate (runOnce asserts completion) and QoS tokens must
-  // cover the logical bytes exactly once.  Seeds are logged so CI failures
-  // reproduce with --gtest_filter + the printed seed.
+  // seed's plan may drive targets to fraction 0 (dead-but-online) and crash
+  // and reboot hosts, so watchdog timeouts, the retry ladder, failovers and
+  // hedges interleave; the run must still terminate (runOnce asserts
+  // completion) and QoS tokens must cover the logical bytes exactly once.
+  // Seeds are logged so CI failures reproduce with --gtest_filter + the
+  // printed seed.
   std::size_t seeds = 10;
   if (const char* env = std::getenv("BEESIM_CHAOS_SEEDS")) {
     seeds = static_cast<std::size_t>(std::strtoul(env, nullptr, 10));
   }
+  std::uint64_t timeouts = 0;
   for (std::size_t i = 0; i < seeds; ++i) {
     const std::uint64_t seed = 1000 + 37 * i;
     std::cout << "[chaos] fail-slow soak seed=" << seed << "\n";
@@ -685,6 +747,8 @@ TEST(FailSlowChaos, RandomizedFailSlowNeverStallsOrDoubleSpends) {
     spec.degradeCeiling = 0.3;
     spec.linkStutterMttf = 10.0;
     spec.linkStutterMttr = 2.0;
+    spec.hostMttf = 1.5;  // host crashes; outages end before or after ioTimeout
+    spec.hostMttr = 0.3;
     spec.horizon = 60.0;
     config.faults.stochastic = spec;
     config.job = ior::IorJob::onFirstNodes(4, 8);
@@ -695,6 +759,15 @@ TEST(FailSlowChaos, RandomizedFailSlowNeverStallsOrDoubleSpends) {
     EXPECT_DOUBLE_EQ(record.qos.tokensIssued,
                      static_cast<double>(record.ior.totalBytes))
         << "seed=" << seed;
+    timeouts += record.ior.faults.timeouts;
+    std::cout << "[chaos]   timeouts=" << record.ior.faults.timeouts
+              << " retries=" << record.ior.faults.retries
+              << " failovers=" << record.ior.faults.failovers
+              << " hedges=" << record.ior.hedge.hedgesIssued << "\n";
+  }
+  // The crashes reached the watchdog and the retry ladder.
+  if (seeds > 0) {
+    EXPECT_GT(timeouts, 0u);
   }
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <random>
 #include <vector>
 
 #include "util/error.hpp"
@@ -201,6 +204,121 @@ TEST(Simulator, RunUntilStopsAtLimitWithCancelledFront) {
   sim.run();
   EXPECT_TRUE(lateRan);
   EXPECT_DOUBLE_EQ(sim.now(), 5.0);
+}
+
+TEST(Simulator, TicketFiresAtItsReservedKey) {
+  // A ticket keeps the sequence number of its reservation: scheduled after
+  // two same-instant events, it still fires between them.
+  Simulator sim;
+  std::vector<int> order;
+  sim.scheduleAfter(1.0, [&] { order.push_back(1); });
+  const Ticket ticket = sim.reserveAfter(1.0);
+  sim.scheduleAfter(1.0, [&] { order.push_back(3); });
+  sim.schedule(ticket, [&] { order.push_back(2); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(Simulator, TicketInThePastThrows) {
+  Simulator sim;
+  const Ticket ticket = sim.reserveAfter(1.0);
+  sim.schedule(2.0, [] {});
+  sim.run();
+  EXPECT_THROW(sim.schedule(ticket, [] {}), util::ContractError);
+  EXPECT_THROW(sim.reserveAfter(-1.0), util::ContractError);
+}
+
+/// How an event of the random schedule below is put into the queue.
+enum class Placement {
+  kDirect,    ///< scheduleAfter
+  kLater,     ///< reserved, scheduled at the end of its creator's callback
+  kFlushed,   ///< reserved, scheduled by a helper event halfway to its time
+  kDropped,   ///< reserved, never scheduled (a leaf)
+};
+
+struct RandomEvent {
+  double delay = 0.0;
+  Placement placement = Placement::kDirect;
+  std::vector<int> children;
+};
+
+/// Dispatch order of the random schedule `events` (event 0 is the root's
+/// batch, created at t = 0).  With `tickets` each event is placed as its
+/// Placement says; without, every event is scheduled directly.
+std::vector<int> randomScheduleOrder(const std::vector<RandomEvent>& events, bool tickets) {
+  Simulator sim;
+  std::vector<int> order;
+  std::function<void(int)> create;
+  const auto fire = [&](int id) {
+    order.push_back(id);
+    std::vector<std::pair<Ticket, int>> later;
+    for (const int child : events[static_cast<std::size_t>(id)].children) {
+      const auto& spec = events[static_cast<std::size_t>(child)];
+      if (!tickets || spec.placement == Placement::kDirect) {
+        sim.scheduleAfter(spec.delay, [&create, child] { create(child); });
+        continue;
+      }
+      const Ticket ticket = sim.reserveAfter(spec.delay);
+      if (spec.placement == Placement::kLater) {
+        later.emplace_back(ticket, child);
+      } else if (spec.placement == Placement::kFlushed) {
+        sim.scheduleAfter(spec.delay / 2.0, [&sim, &create, ticket, child] {
+          sim.schedule(ticket, [&create, child] { create(child); });
+        });
+      }
+    }
+    // Inserted in reverse: a ticket's key, not its insertion, orders it.
+    for (auto it = later.rbegin(); it != later.rend(); ++it) {
+      const int child = it->second;
+      sim.schedule(it->first, [&create, child] { create(child); });
+    }
+  };
+  create = fire;
+  fire(0);
+  sim.run();
+  EXPECT_EQ(sim.pending(), 0u);
+  order.erase(order.begin());  // the root
+  return order;
+}
+
+TEST(Simulator, TicketsDispatchLikeDirectSchedulingMinusDroppedOnRandomSchedules) {
+  // Random trees of events on dyadic delays (k/8 s, so sums are exact and
+  // ties are common).  Scheduling some events from tickets -- later in the
+  // creating callback, or from another event before they are due -- must
+  // reproduce the direct-scheduling order exactly; reserved tickets never
+  // used must remove just their own events.
+  for (std::uint32_t seed = 1; seed <= 20; ++seed) {
+    std::mt19937 rng(seed);
+    const auto uniform = [&rng](int lo, int hi) {
+      return std::uniform_int_distribution<int>(lo, hi)(rng);
+    };
+    std::vector<RandomEvent> events(1);
+    std::vector<int> parents{0};
+    for (int id = 1; id <= 1500; ++id) {
+      RandomEvent event;
+      const int roll = uniform(0, 9);
+      event.placement = roll < 5   ? Placement::kDirect
+                        : roll < 7 ? Placement::kLater
+                        : roll < 8 ? Placement::kFlushed
+                                   : Placement::kDropped;
+      // A flushed ticket's helper runs at half its delay, strictly before it.
+      event.delay = uniform(event.placement == Placement::kFlushed ? 1 : 0, 8) / 8.0;
+      const int parent = id <= 40 ? 0 : parents[static_cast<std::size_t>(
+                                            uniform(0, static_cast<int>(parents.size()) - 1))];
+      events[static_cast<std::size_t>(parent)].children.push_back(id);
+      if (event.placement != Placement::kDropped) parents.push_back(id);
+      events.push_back(std::move(event));
+    }
+    auto expected = randomScheduleOrder(events, /*tickets=*/false);
+    ASSERT_EQ(expected.size(), 1500u) << "seed " << seed;
+    expected.erase(std::remove_if(expected.begin(), expected.end(),
+                                  [&events](int id) {
+                                    return events[static_cast<std::size_t>(id)].placement ==
+                                           Placement::kDropped;
+                                  }),
+                   expected.end());
+    EXPECT_EQ(randomScheduleOrder(events, /*tickets=*/true), expected) << "seed " << seed;
+  }
 }
 
 }  // namespace

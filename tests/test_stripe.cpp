@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "util/error.hpp"
@@ -135,9 +136,15 @@ TEST_P(StripeRandomRegionTest, ClosedFormMatchesBruteForce) {
 
   for (int rep = 0; rep < 10; ++rep) {
     const auto offset = static_cast<util::Bytes>(rng.uniformInt(0, 1 << 26));
-    const auto length = static_cast<util::Bytes>(rng.uniformInt(1, 1 << 26));
-    EXPECT_EQ(pattern.bytesPerTarget(offset, length),
-              bytesPerTargetBruteForce(pattern, offset, length));
+    // Long ranges, and ranges of a few chunks that leave slots untouched.
+    const auto maxLength = rep % 2 == 0 ? util::Bytes{1} << 26 : 3 * chunk;
+    const auto length =
+        static_cast<util::Bytes>(rng.uniformInt(1, static_cast<std::int64_t>(maxLength)));
+    const auto expected = bytesPerTargetBruteForce(pattern, offset, length);
+    EXPECT_EQ(pattern.bytesPerTarget(offset, length), expected);
+    EXPECT_EQ(pattern.slotsTouched(offset, length),
+              static_cast<std::size_t>(std::count_if(expected.begin(), expected.end(),
+                                                     [](util::Bytes b) { return b > 0; })));
   }
 }
 
